@@ -2,13 +2,16 @@
 
 Submodules: model (signals, operators, surrogate pairs), solver (coordinate
 descent and debiasing), concentration (Poisson tail bounds), bernoulli and
-convolution (sensing models and their penalty weights), diagnostics
+convolution (sensing models and their penalty weights), sensing (the one
+dispatch over the two models: draw, surrogate pair, weights), diagnostics
 (assumption checks and closed-form bounds), experiments (seeded Monte Carlo
 harness), cli (command-line front end).
 """
-from . import bernoulli, concentration, convolution, diagnostics, experiments, model, solver
+from . import bernoulli, concentration, convolution, diagnostics, experiments, model
+from . import sensing, solver
 from .model import (
-    LinearOperator,
+    Circulant,
+    Dense,
     PoissonObservations,
     SparseSignal,
     SurrogatePair,
@@ -28,7 +31,8 @@ from .solver import (
 )
 
 __all__ = [
-    "LinearOperator",
+    "Circulant",
+    "Dense",
     "PoissonObservations",
     "SparseSignal",
     "SurrogatePair",
@@ -46,6 +50,7 @@ __all__ = [
     "objective",
     "oracle_least_squares",
     "sample_poisson",
+    "sensing",
     "solver",
     "trial_rng",
     "two_step",

@@ -24,7 +24,7 @@ from .concentration import (
     variance_envelope,
 )
 from .errors import EnumerationGuardError, RegimeViolationError
-from .model import LinearOperator, SurrogatePair
+from .model import Dense, SurrogatePair
 from .solver import WeightVector
 
 
@@ -64,6 +64,10 @@ def sample_bernoulli_matrix(
     return BernoulliInstance(n=n, p=p, q=q, a=a, column_sums=a.sum(axis=0))
 
 
+def sensing_operator(inst: BernoulliInstance) -> Dense:
+    return Dense(inst.a)
+
+
 def _scale(inst: BernoulliInstance) -> float:
     return math.sqrt(inst.n * inst.q * (1.0 - inst.q))
 
@@ -73,7 +77,7 @@ def surrogate_bernoulli(inst: BernoulliInstance, y) -> SurrogatePair:
     if y.shape != (inst.n,):
         raise ValueError("y must have length n")
     scale = _scale(inst)
-    a_tilde = LinearOperator(kind="dense", dense=(inst.a - inst.q) / scale)
+    a_tilde = Dense((inst.a - inst.q) / scale)
     y_tilde = (inst.n * y - y.sum()) / ((inst.n - 1) * scale)
     return SurrogatePair(a_tilde=a_tilde, y_tilde=y_tilde)
 

@@ -24,8 +24,10 @@ from .config import (
 )
 from .concentration import tail_coverage_test
 from .diagnostics import assumption_report
+from .errors import WeightKindError
 from .experiments import run_mse_vs_m, run_mse_vs_p, rows_to_csv
-from .model import apply, make_sparse_signal, sample_poisson, trial_rng
+from .model import trial_rng
+from .sensing import MODELS, WEIGHT_KINDS, Draw, default_theta, draw, surrogate, weights
 from .solver import SolverConfig, oracle_least_squares, two_step, weighted_lasso
 
 
@@ -48,7 +50,7 @@ def _resolve_seed(flag_seed: Optional[int]) -> int:
 
 
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", choices=("convolution", "bernoulli"), default="convolution")
+    sub.add_argument("--model", choices=MODELS, default="convolution")
     sub.add_argument("--p", type=int, default=200)
     sub.add_argument("--s", type=int, default=5)
     sub.add_argument("--m", type=int, default=20, help="parents (convolution)")
@@ -60,65 +62,64 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--instance", help="read instance from a .npz file instead")
 
 
-def _generate_instance(args):
-    rng = trial_rng(_resolve_seed(args.seed))
-    signal = make_sparse_signal(args.p, args.s, args.l1, rng)
-    x_star = signal.dense()
-    if args.model == "convolution":
-        inst = _convolution.sample_parents(args.p, args.m, rng)
-        intensity = apply(_convolution.sensing_operator(inst), x_star)
-    else:
-        inst = _bernoulli.sample_bernoulli_matrix(args.n, args.p, args.q, rng)
-        intensity = inst.a @ x_star
-    y = intensity if args.noiseless else sample_poisson(intensity, rng).counts.astype(float)
-    return inst, y, x_star, signal.support
+def _bad_field(key: str, why: str) -> _UsageError:
+    return _UsageError(f"instance file: {key!r} {why}")
 
 
-def _load_instance(path: str, q_flag: float):
+def _instance_field(arrays, key: str, ndim: int) -> np.ndarray:
+    """arrays[key] as floats, if it is a finite number, vector or matrix."""
+    value = np.asarray(arrays[key])
+    if value.dtype.kind not in "biuf" or value.ndim != ndim or not np.all(np.isfinite(value)):
+        raise _bad_field(key, f"must be a finite {('number', 'vector', 'matrix')[ndim]}")
+    return value.astype(np.float64)
+
+
+def _load_instance(path: str, q_flag: float) -> Draw:
     with np.load(path) as data:
-        if "counts" in data:
-            counts = np.asarray(data["counts"], dtype=np.int64)
-            inst = _convolution.ConvolutionInstance(
-                p=counts.size, m=int(counts.sum()), counts=counts
-            )
-        elif "a" in data:
-            a = np.asarray(data["a"], dtype=np.float64)
-            q = float(data["q"]) if "q" in data else q_flag
-            inst = _bernoulli.BernoulliInstance(
-                n=a.shape[0], p=a.shape[1], q=q, a=a, column_sums=a.sum(axis=0)
-            )
-        else:
-            raise _UsageError("instance file needs either 'counts' or 'a'")
-        if "y" not in data:
-            raise _UsageError("instance file needs 'y'")
-        y = np.asarray(data["y"], dtype=np.float64)
-        x_star = np.asarray(data["x_star"], dtype=np.float64) if "x_star" in data else None
-    support = None if x_star is None else np.flatnonzero(x_star)
-    return inst, y, x_star, support
+        arrays = {key: data[key] for key in data.files}
+    if "counts" in arrays:
+        counts = _instance_field(arrays, "counts", 1)
+        if counts.size < 2 or np.any(counts < 0) or np.any(counts % 1) or not counts.any():
+            raise _bad_field("counts", "must be p >= 2 nonnegative integers, not all zero")
+        inst = _convolution.ConvolutionInstance(
+            p=counts.size, m=int(counts.sum()), counts=counts
+        )
+        rows = inst.p
+    elif "a" in arrays:
+        a = _instance_field(arrays, "a", 2)
+        if np.any((a != 0) & (a != 1)):
+            raise _bad_field("a", "must have entries in {0, 1}")
+        q = float(_instance_field(arrays, "q", 0)) if "q" in arrays else q_flag
+        if not 0.0 < q < 1.0:
+            raise _bad_field("q", f"must lie in (0, 1), got {q!r}")
+        inst = _bernoulli.BernoulliInstance(
+            n=a.shape[0], p=a.shape[1], q=q, a=a, column_sums=a.sum(axis=0)
+        )
+        rows = inst.n
+    else:
+        raise _UsageError("instance file needs either 'counts' or 'a'")
+    if "y" not in arrays:
+        raise _UsageError("instance file needs 'y'")
+    y = _instance_field(arrays, "y", 1)
+    if y.size != rows or np.any(y < 0):
+        raise _bad_field("y", f"must be {rows} nonnegative values, got {y.size} values")
+    x_star = support = None
+    if "x_star" in arrays:
+        x_star = _instance_field(arrays, "x_star", 1)
+        if x_star.size != inst.p:
+            raise _bad_field("x_star", f"must have length p = {inst.p}, got {x_star.size}")
+        support = np.flatnonzero(x_star)
+    return Draw(inst, y, x_star, support)
 
 
-def _instance_from_args(args):
+def _instance_from_args(args) -> Draw:
     if args.instance:
         return _load_instance(args.instance, args.q)
-    return _generate_instance(args)
-
-
-def _surrogate(inst, y):
-    if isinstance(inst, _convolution.ConvolutionInstance):
-        return _convolution.surrogate_convolution(inst, y)
-    return _bernoulli.surrogate_bernoulli(inst, y)
-
-
-def _weights_of_kind(inst, pair, y, x_star, kind: str, theta: Optional[float], c: float):
-    if kind == "oracle":
-        if x_star is None:
-            raise _UsageError("oracle weights need x_star")
-        return _convolution.oracle_weights(pair, x_star)
-    if isinstance(inst, _convolution.ConvolutionInstance):
-        fn = _convolution.constant_weights if kind == "constant" else _convolution.nonconstant_weights
-        return fn(inst, y, theta=theta)
-    fn = _bernoulli.constant_weights if kind == "constant" else _bernoulli.nonconstant_weights
-    return fn(inst, y, c=c, theta=theta)
+    rng = trial_rng(_resolve_seed(args.seed))
+    return draw(
+        args.model, args.p, args.s, args.l1, rng,
+        m=args.m, n=args.n, q=args.q, noiseless=args.noiseless,
+    )
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -133,23 +134,24 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _nmse(x_hat: np.ndarray, x_star: np.ndarray) -> str:
+    err = x_hat - x_star
+    return _fmt(float(err @ err) / max(float(np.abs(x_star).sum()), 1.0))
+
+
 def _cmd_solve(args) -> int:
     inst, y, x_star, support = _instance_from_args(args)
-    pair = _surrogate(inst, y)
+    pair = surrogate(inst, y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         config = SolverConfig(gamma=args.gamma)
     lines = []
     if support is not None and support.size:
         x_ls = oracle_least_squares(pair, support)
-        err = x_ls - x_star
-        denom = max(float(np.abs(x_star).sum()), 1.0)
-        lines.append(
-            f"estimator=ls_oracle weight_kind=none nmse={_fmt(float(err @ err) / denom)}"
-        )
+        lines.append(f"estimator=ls_oracle weight_kind=none nmse={_nmse(x_ls, x_star)}")
     for kind in args.weights.split(","):
         kind = kind.strip()
-        w = _weights_of_kind(inst, pair, y, x_star, kind, args.theta, args.c)
+        w = weights(kind, inst, pair, y, x_star, args.theta, args.c)
         result = weighted_lasso(pair, w, config)
         _, x_two = two_step(result.x_hat, pair, config.support_eps)
         est = "lasso_two_step" if kind == "constant" else "wlasso_two_step"
@@ -161,9 +163,7 @@ def _cmd_solve(args) -> int:
             f"converged={'true' if result.converged else 'false'}",
         ]
         if x_star is not None:
-            denom = max(float(np.abs(x_star).sum()), 1.0)
-            err = x_two - x_star
-            parts.insert(2, f"nmse={_fmt(float(err @ err) / denom)}")
+            parts.insert(2, f"nmse={_nmse(x_two, x_star)}")
         lines.append(" ".join(parts))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -171,8 +171,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_weights(args) -> int:
     inst, y, x_star, _ = _instance_from_args(args)
-    pair = _surrogate(inst, y)
-    w = _weights_of_kind(inst, pair, y, x_star, args.kind, args.theta, args.c)
+    w = weights(args.kind, inst, surrogate(inst, y), y, x_star, args.theta, args.c)
     lines = ["index,weight"]
     lines.extend(f"{k},{_fmt(v)}" for k, v in enumerate(w.values))
     _emit("\n".join(lines) + "\n", args.out)
@@ -183,14 +182,9 @@ def _cmd_diagnose(args) -> int:
     inst, y, x_star, _ = _instance_from_args(args)
     if x_star is None:
         raise _UsageError("diagnose needs x_star (generated instances have it)")
-    pair = _surrogate(inst, y)
-    w = _weights_of_kind(inst, pair, y, x_star, args.kind, args.theta, args.c)
-    if args.theta is not None:
-        theta = args.theta
-    elif isinstance(inst, _convolution.ConvolutionInstance):
-        theta = _convolution.default_theta(inst.p)
-    else:
-        theta = _bernoulli.default_theta(inst.p)
+    pair = surrogate(inst, y)
+    w = weights(args.kind, inst, pair, y, x_star, args.theta, args.c)
+    theta = default_theta(inst) if args.theta is None else args.theta
     report = assumption_report(
         pair, x_star, w, gamma=args.gamma, theta_used=theta, rip_s=args.rip_s
     )
@@ -199,6 +193,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.threads < 0:
+        raise _UsageError(f"--threads must be >= 0 (0 = all cores), got {args.threads}")
     mapping: dict[str, str] = {}
     if args.config:
         with open(args.config) as handle:
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_weights = sub.add_parser("weights", help="emit a weight vector as CSV")
     _add_instance_args(p_weights)
-    p_weights.add_argument("--kind", choices=("constant", "nonconstant", "oracle"), default="nonconstant")
+    p_weights.add_argument("--kind", choices=WEIGHT_KINDS, default="nonconstant")
     p_weights.add_argument("--theta", type=float, default=None)
     p_weights.add_argument("--c", type=float, default=1.0)
     p_weights.add_argument("--out", default=None)
@@ -270,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagnose", help="check assumptions on one instance")
     _add_instance_args(p_diag)
-    p_diag.add_argument("--kind", choices=("constant", "nonconstant", "oracle"), default="nonconstant")
+    p_diag.add_argument("--kind", choices=WEIGHT_KINDS, default="nonconstant")
     p_diag.add_argument("--gamma", type=float, default=4.0)
     p_diag.add_argument("--theta", type=float, default=None)
     p_diag.add_argument("--c", type=float, default=1.0)
@@ -307,7 +303,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, WeightKindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary: report and set exit code

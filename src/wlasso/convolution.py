@@ -24,12 +24,7 @@ from .concentration import (
     empirical_deviation_bound,
     variance_envelope,
 )
-from .model import (
-    LinearOperator,
-    SurrogatePair,
-    cyclic_correlate,
-    deviation_at_truth,
-)
+from .model import Circulant, SurrogatePair, cyclic_correlate
 from .solver import WeightVector
 
 
@@ -64,8 +59,8 @@ def sample_parents(p: int, m: int, rng: np.random.Generator) -> ConvolutionInsta
     return ConvolutionInstance(p=p, m=m, counts=counts, parents=parents)
 
 
-def sensing_operator(inst: ConvolutionInstance) -> LinearOperator:
-    return LinearOperator(kind="circulant", generator=inst.counts.astype(np.float64))
+def sensing_operator(inst: ConvolutionInstance) -> Circulant:
+    return Circulant(inst.counts.astype(np.float64))
 
 
 def surrogate_convolution(inst: ConvolutionInstance, y) -> SurrogatePair:
@@ -77,9 +72,7 @@ def surrogate_convolution(inst: ConvolutionInstance, y) -> SurrogatePair:
     gen = inst.counts / rm - offset
     ybar = y.sum() / inst.m
     y_tilde = y / rm - offset * ybar
-    return SurrogatePair(
-        a_tilde=LinearOperator(kind="circulant", generator=gen), y_tilde=y_tilde
-    )
+    return SurrogatePair(a_tilde=Circulant(gen), y_tilde=y_tilde)
 
 
 def _centered_counts(inst: ConvolutionInstance) -> np.ndarray:
@@ -126,12 +119,3 @@ def nonconstant_weights(
     v_hat = local_variance_estimates(inst, y)
     d = empirical_deviation_bound(count_spread_bound(inst), v_hat, theta)
     return WeightVector(d, "nonconstant")
-
-
-def oracle_weights(
-    pair: SurrogatePair, x_star, floor: float = 1e-12
-) -> WeightVector:
-    """|score at the truth|, floored; works for any surrogate pair."""
-    x_star = np.asarray(x_star, dtype=np.float64)
-    d = np.abs(deviation_at_truth(pair, x_star))
-    return WeightVector(np.maximum(d, floor), "oracle")

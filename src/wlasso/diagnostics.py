@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,54 +16,39 @@ import numpy as np
 from . import bernoulli as _bernoulli
 from . import convolution as _convolution
 from .errors import EnumerationGuardError, MemoryGuardError
-from .model import (
-    LinearOperator,
-    SurrogatePair,
-    cyclic_correlate,
-    deviation_at_truth,
-    gram_generator,
-    materialize,
-)
+from .model import Circulant, Dense, SurrogatePair, cyclic_correlate, deviation_at_truth
 from .solver import WeightVector
 
 
-def gram_deviation(op: LinearOperator, max_dense_p: int = 4096) -> float:
-    """max |(A^T A - I)_{k,l}|; the one number behind the RE bound below."""
-    if op.kind == "circulant":
-        g = gram_generator(op)
-        dev0 = float(abs(g[0] - 1.0))
-        rest = float(np.abs(g[1:]).max(initial=0.0))
-        return max(dev0, rest)
+def _dense_gram(op: Dense, max_dense_p: int) -> np.ndarray:
     p = op.n_cols
     if p > max_dense_p:
         raise MemoryGuardError(f"dense gram for p = {p} exceeds guard {max_dense_p}")
-    gram = op.dense.T @ op.dense
-    return float(np.abs(gram - np.eye(p)).max())
+    return op.dense.T @ op.dense
 
 
-def _gram_entry_lookup(op: LinearOperator, max_dense_p: int):
-    if op.kind == "circulant":
-        g = gram_generator(op)
-        p = op.n_cols
+def gram_deviation(op: Circulant | Dense, max_dense_p: int = 4096) -> float:
+    """max |(A^T A - I)_{k,l}|; the one number behind the RE bound below."""
+    if isinstance(op, Circulant):
+        g = op.gram_generator()
+        dev0 = float(abs(g[0] - 1.0))
+        rest = float(np.abs(g[1:]).max(initial=0.0))
+        return max(dev0, rest)
+    gram = _dense_gram(op, max_dense_p)
+    return float(np.abs(gram - np.eye(op.n_cols)).max())
 
-        def entry(j: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return g[(j - k) % p]
 
-        return entry
-    if op.n_cols > max_dense_p:
-        raise MemoryGuardError(
-            f"dense gram for p = {op.n_cols} exceeds guard {max_dense_p}"
-        )
-    gram = op.dense.T @ op.dense
-
-    def entry(j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return gram[j, k]
-
-    return entry
+def _gram_entry_lookup(op: Circulant | Dense, max_dense_p: int):
+    """entry(j, k) = (A^T A)_{j,k}, elementwise over index arrays."""
+    if isinstance(op, Circulant):
+        g, p = op.gram_generator(), op.n_cols
+        return lambda j, k: g[(j - k) % p]
+    gram = _dense_gram(op, max_dense_p)
+    return lambda j, k: gram[j, k]
 
 
 def rip_lower_bruteforce(
-    op: LinearOperator,
+    op: Circulant | Dense,
     s: int,
     max_supports: int = 1_000_000,
     max_dense_p: int = 4096,
@@ -205,8 +190,7 @@ def ustat_check(inst: _convolution.ConvolutionInstance, max_p: int = 2048) -> fl
     """
     if inst.p > max_p:
         raise MemoryGuardError(f"ustat check guarded at p <= {max_p}")
-    pair_gen = _surrogate_generator(inst)
-    g = gram_generator(LinearOperator(kind="circulant", generator=pair_gen))
+    g = _convolution_design(inst).gram_generator()
     lhs = inst.m * g
     lhs[0] -= inst.m
     counts = inst.counts.astype(np.float64)
@@ -215,9 +199,9 @@ def ustat_check(inst: _convolution.ConvolutionInstance, max_p: int = 2048) -> fl
     return float(np.abs(lhs - u).max())
 
 
-def _surrogate_generator(inst: _convolution.ConvolutionInstance) -> np.ndarray:
-    rm = math.sqrt(inst.m)
-    return inst.counts / rm - (rm - 1.0) / inst.p
+def _convolution_design(inst: _convolution.ConvolutionInstance) -> Circulant:
+    """The surrogate design A_tilde; it does not depend on the observations."""
+    return _convolution.surrogate_convolution(inst, np.zeros(inst.p)).a_tilde
 
 
 @dataclass
@@ -264,7 +248,7 @@ def bernoulli_gram_expectation_check(
 ) -> GramExpectationReport:
     def draw(r: np.random.Generator) -> np.ndarray:
         inst = _bernoulli.sample_bernoulli_matrix(n, p, q, r)
-        at = (inst.a - q) / math.sqrt(n * q * (1 - q))
+        at = _bernoulli.surrogate_bernoulli(inst, np.zeros(n)).a_tilde.dense
         return at.T @ at
 
     return _gram_expectation(draw, n_draws, rng, p)
@@ -274,9 +258,7 @@ def convolution_gram_expectation_check(
     p: int, m: int, n_draws: int, rng: np.random.Generator
 ) -> GramExpectationReport:
     def draw(r: np.random.Generator) -> np.ndarray:
-        inst = _convolution.sample_parents(p, m, r)
-        op = LinearOperator(kind="circulant", generator=_surrogate_generator(inst))
-        at = materialize(op)
+        at = _convolution_design(_convolution.sample_parents(p, m, r)).materialize()
         return at.T @ at
 
     return _gram_expectation(draw, n_draws, rng, p)
@@ -308,19 +290,7 @@ class AssumptionReport:
                 return f"{v:.10g}"
             return str(v)
 
-        return {
-            "gram_dev": fmt(self.gram_dev),
-            "theta_used": fmt(self.theta_used),
-            "rip_lower": fmt(self.rip_lower),
-            "re_bound": fmt(self.re_bound),
-            "re_valid": fmt(self.re_valid),
-            "weights_pass": fmt(self.weights_pass),
-            "weights_margin": fmt(self.weights_margin),
-            "weights_worst_index": fmt(self.weights_worst_index),
-            "support_pass": fmt(self.support_pass),
-            "support_lhs": fmt(self.support_lhs),
-            "support_rhs": fmt(self.support_rhs),
-        }
+        return {f.name: fmt(getattr(self, f.name)) for f in fields(self)}
 
     def to_text(self) -> str:
         lines = ["assumption report", "-----------------"]

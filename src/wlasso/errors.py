@@ -31,3 +31,7 @@ class EnumerationGuardError(ValueError):
 
 class MemoryGuardError(ValueError):
     """Requested dense materialization exceeds the configured size budget."""
+
+
+class WeightKindError(ValueError):
+    """A weight kind is unknown, or needs the truth x* and none is given."""

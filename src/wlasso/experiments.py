@@ -12,19 +12,17 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from . import bernoulli as _bernoulli
-from . import convolution as _convolution
-from .model import apply, make_sparse_signal, sample_poisson, trial_rng
+from .model import trial_rng
+from .sensing import MODELS, WEIGHT_KINDS, draw, surrogate, weights
 from .solver import SolverConfig, two_step, weighted_lasso, oracle_least_squares
 from .diagnostics import weights_cover
 
 ESTIMATORS = ("ls_oracle", "lasso_two_step", "wlasso_two_step")
-WEIGHT_KINDS = ("constant", "nonconstant", "oracle")
 TUNE_INDEX_BASE = 1 << 20
 
 CSV_HEADER = (
@@ -58,7 +56,7 @@ class ExperimentConfig:
     support_eps: float = 1e-9
 
     def __post_init__(self):
-        if self.model not in ("convolution", "bernoulli"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         for name in ("m_grid", "p_grid", "gamma_grid", "estimators", "weight_kinds"):
             setattr(self, name, tuple(getattr(self, name)))
@@ -122,23 +120,9 @@ class TrialPoint:
 
 
 def _point(cfg: ExperimentConfig, p: int, m: int) -> TrialPoint:
-    return TrialPoint(
-        model=cfg.model,
-        p=p,
-        s=cfg.s,
-        m=m,
-        n=cfg.n,
-        q=cfg.q,
-        target_l1=cfg.target_l1,
-        estimators=cfg.estimators,
-        weight_kinds=cfg.weight_kinds,
-        weight_c=cfg.weight_c,
-        noiseless=cfg.noiseless,
-        master_seed=cfg.master_seed,
-        tol_kkt=cfg.tol_kkt,
-        max_iter=cfg.max_iter,
-        support_eps=cfg.support_eps,
-    )
+    """The grid point at (p, m); every other field is the config's."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(TrialPoint) if f.name != "m"}
+    return TrialPoint(**dict(shared, p=p, m=m))
 
 
 def estimator_keys(point: TrialPoint) -> list[tuple[str, str]]:
@@ -168,25 +152,11 @@ class TrialOutcome:
 def run_trial(point: TrialPoint, trial_index: int, gamma: float) -> TrialOutcome:
     """One seeded trial: draw signal/design/counts, run every estimator."""
     rng = trial_rng(point.master_seed, trial_index)
-    signal = make_sparse_signal(point.p, point.s, point.target_l1, rng)
-    x_star = signal.dense()
-
-    if point.model == "convolution":
-        inst = _convolution.sample_parents(point.p, point.m, rng)
-        intensity = apply(_convolution.sensing_operator(inst), x_star)
-    else:
-        inst = _bernoulli.sample_bernoulli_matrix(point.n, point.p, point.q, rng)
-        intensity = inst.a @ x_star
-
-    if point.noiseless:
-        y = intensity
-    else:
-        y = sample_poisson(intensity, rng).counts.astype(np.float64)
-
-    if point.model == "convolution":
-        pair = _convolution.surrogate_convolution(inst, y)
-    else:
-        pair = _bernoulli.surrogate_bernoulli(inst, y)
+    inst, y, x_star, support = draw(
+        point.model, point.p, point.s, point.target_l1, rng,
+        m=point.m, n=point.n, q=point.q, noiseless=point.noiseless,
+    )
+    pair = surrogate(inst, y)
 
     denom = point.target_l1 if point.target_l1 > 0 else 1.0
     nmse: dict = {}
@@ -196,7 +166,7 @@ def run_trial(point: TrialPoint, trial_index: int, gamma: float) -> TrialOutcome
     weights_by_kind = {}
     for kind in dict.fromkeys(k for _, k in estimator_keys(point) if k != "none"):
         try:
-            weights_by_kind[kind] = _compute_weights(point, inst, pair, y, x_star, kind)
+            weights_by_kind[kind] = weights(kind, inst, pair, y, x_star, c=point.weight_c)
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
             failures[("weights", kind)] = f"{type(exc).__name__}: {exc}"
 
@@ -215,10 +185,10 @@ def run_trial(point: TrialPoint, trial_index: int, gamma: float) -> TrialOutcome
     for est, kind in estimator_keys(point):
         try:
             if est == "ls_oracle":
-                if signal.s == 0:
+                if support.size == 0:
                     x_hat = np.zeros(point.p)
                 else:
-                    x_hat = oracle_least_squares(pair, signal.support)
+                    x_hat = oracle_least_squares(pair, support)
             else:
                 if kind not in weights_by_kind:
                     raise RuntimeError(failures.get(("weights", kind), "no weights"))
@@ -230,18 +200,6 @@ def run_trial(point: TrialPoint, trial_index: int, gamma: float) -> TrialOutcome
             failures[(est, kind)] = f"{type(exc).__name__}: {exc}"
 
     return TrialOutcome(nmse=nmse, coverage=coverage, failures=failures)
-
-
-def _compute_weights(point, inst, pair, y, x_star, kind):
-    if kind == "oracle":
-        return _convolution.oracle_weights(pair, x_star)
-    if point.model == "convolution":
-        if kind == "constant":
-            return _convolution.constant_weights(inst, y)
-        return _convolution.nonconstant_weights(inst, y)
-    if kind == "constant":
-        return _bernoulli.constant_weights(inst, y, c=point.weight_c)
-    return _bernoulli.nonconstant_weights(inst, y, c=point.weight_c)
 
 
 def _trial_task(args):
@@ -322,6 +280,7 @@ def run_point(
         g: _map_trials(point, indices, g, threads) for g in eval_gammas
     }
 
+    convolution = point.model == "convolution"
     rows = []
     for key in keys:
         est, kind = key
@@ -350,9 +309,9 @@ def run_point(
                 model=point.model,
                 p=point.p,
                 s=point.s,
-                m=point.m if point.model == "convolution" else None,
-                n=point.n if point.model == "bernoulli" else point.p,
-                q=point.q if point.model == "bernoulli" else None,
+                m=point.m if convolution else None,
+                n=point.p if convolution else point.n,
+                q=None if convolution else point.q,
                 estimator=est,
                 weight_kind=kind,
                 gamma_star=g_star,
@@ -393,27 +352,11 @@ def _fmt_float(x: Optional[float]) -> str:
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
+    """One line per row, columns in field order; floats keep 10 significant digits."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.model,
-                    str(r.p),
-                    str(r.s),
-                    "" if r.m is None else str(r.m),
-                    str(r.n),
-                    "" if r.q is None else _fmt_float(r.q),
-                    r.estimator,
-                    r.weight_kind,
-                    _fmt_float(r.gamma_star),
-                    str(r.trials),
-                    str(r.failures),
-                    _fmt_float(r.nmse_mean),
-                    _fmt_float(r.nmse_stderr),
-                    _fmt_float(r.coverage_rate),
-                    str(r.seed),
-                ]
-            )
-        )
+        values = (getattr(r, f.name) for f in fields(r))
+        lines.append(",".join(
+            str(v) if isinstance(v, (int, str)) else _fmt_float(v) for v in values
+        ))
     return "\n".join(lines) + "\n"

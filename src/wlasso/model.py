@@ -1,13 +1,14 @@
 """Ground-truth signals, Poisson observations, and the linear operators they share.
 
-Dense and circulant designs are handled behind one LinearOperator type so the
-solver and diagnostics never branch on the sensing model.  A circulant operator
-stores only its generator column c, with entry (l, k) equal to c[(l - k) mod p].
+Two operator classes share one surface (apply, adjoint, columns, materialize):
+Dense stores the matrix, Circulant only its generator column c, with entry
+(l, k) equal to c[(l - k) mod p].  Callers branch on the class only where the
+algorithm itself differs: the coordinate-descent loop, which runs on the Gram
+generator of a circulant design, and the Gram lookups in diagnostics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -110,43 +111,6 @@ def sample_poisson(intensity, rng: np.random.Generator) -> PoissonObservations:
     return PoissonObservations(np.asarray(counts, np.int64), lam.size)
 
 
-@dataclass(eq=False)
-class LinearOperator:
-    """Dense matrix or circulant operator given by its generator column."""
-
-    kind: str
-    dense: Optional[np.ndarray] = None
-    generator: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind == "dense":
-            if self.dense is None or self.generator is not None:
-                raise ValueError("dense operator needs exactly the dense payload")
-            self.dense = np.asarray(self.dense, dtype=np.float64)
-            if self.dense.ndim != 2:
-                raise ValueError("dense payload must be a matrix")
-        elif self.kind == "circulant":
-            if self.generator is None or self.dense is not None:
-                raise ValueError("circulant operator needs exactly the generator")
-            self.generator = np.asarray(self.generator, dtype=np.float64)
-            if self.generator.ndim != 1 or self.generator.size < 1:
-                raise ValueError("generator must be a nonempty vector")
-        else:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-
-    @property
-    def n_rows(self) -> int:
-        if self.kind == "dense":
-            return self.dense.shape[0]
-        return self.generator.size
-
-    @property
-    def n_cols(self) -> int:
-        if self.kind == "dense":
-            return self.dense.shape[1]
-        return self.generator.size
-
-
 def cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[j] = sum_k a[(j - k) mod p] b[k] for equal-length vectors."""
     p = a.size
@@ -166,47 +130,90 @@ def cyclic_correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cyclic_convolve(rev, np.asarray(b, dtype=np.float64))
 
 
-def apply(op: LinearOperator, x: np.ndarray) -> np.ndarray:
+@dataclass(eq=False)
+class Circulant:
+    """p x p circulant operator given by its generator column c."""
+
+    generator: np.ndarray
+
+    def __post_init__(self):
+        self.generator = np.asarray(self.generator, dtype=np.float64)
+        if self.generator.ndim != 1 or self.generator.size < 1:
+            raise ValueError("generator must be a nonempty vector")
+
+    @property
+    def n_rows(self) -> int:
+        return self.generator.size
+
+    n_cols = n_rows
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return cyclic_convolve(self.generator, x)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return cyclic_correlate(self.generator, y)
+
+    def columns(self, index) -> np.ndarray:
+        return np.stack([np.roll(self.generator, k) for k in index], axis=1)
+
+    def materialize(self, max_p: int = 4096) -> np.ndarray:
+        """Dense copy, guarded against p x p blow-up."""
+        p = self.generator.size
+        if p > max_p:
+            raise MemoryGuardError(f"refusing to materialize p = {p} > {max_p}")
+        idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+        return self.generator[idx]
+
+    def gram_generator(self) -> np.ndarray:
+        """Generator of A^T A, which is circulant too (cyclic autocorrelation)."""
+        return cyclic_correlate(self.generator, self.generator)
+
+
+@dataclass(eq=False)
+class Dense:
+    """Operator stored as its full matrix."""
+
+    dense: np.ndarray
+
+    def __post_init__(self):
+        self.dense = np.asarray(self.dense, dtype=np.float64)
+        if self.dense.ndim != 2:
+            raise ValueError("dense payload must be a matrix")
+
+    @property
+    def n_rows(self) -> int:
+        return self.dense.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.dense.shape[1]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.dense @ x
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self.dense.T @ y
+
+    def columns(self, index) -> np.ndarray:
+        return self.dense[:, index]
+
+    def materialize(self, max_p: int = 4096) -> np.ndarray:
+        """Copy of the stored matrix; nothing new is allocated to guard."""
+        return np.array(self.dense)
+
+
+def apply(op: Circulant | Dense, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n_cols,):
         raise ValueError("x has wrong length")
-    if op.kind == "dense":
-        return op.dense @ x
-    return cyclic_convolve(op.generator, x)
+    return op.apply(x)
 
 
-def apply_adjoint(op: LinearOperator, y: np.ndarray) -> np.ndarray:
+def apply_adjoint(op: Circulant | Dense, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.n_rows,):
         raise ValueError("y has wrong length")
-    if op.kind == "dense":
-        return op.dense.T @ y
-    return cyclic_correlate(op.generator, y)
-
-
-def materialize(op: LinearOperator, max_p: int = 4096) -> np.ndarray:
-    """Dense copy of the operator; guarded for circulant blow-up."""
-    if op.kind == "dense":
-        return np.array(op.dense)
-    p = op.generator.size
-    if p > max_p:
-        raise MemoryGuardError(f"refusing to materialize p = {p} > {max_p}")
-    idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-    return op.generator[idx]
-
-
-def gram_generator(op: LinearOperator) -> np.ndarray:
-    """Generator of A^T A for a circulant operator (cyclic autocorrelation)."""
-    if op.kind != "circulant":
-        raise ValueError("gram_generator needs a circulant operator")
-    return cyclic_correlate(op.generator, op.generator)
-
-
-def column_norms_sq(op: LinearOperator) -> np.ndarray:
-    if op.kind == "dense":
-        return np.einsum("ij,ij->j", op.dense, op.dense)
-    g0 = float(np.dot(op.generator, op.generator))
-    return np.full(op.generator.size, g0)
+    return op.adjoint(y)
 
 
 @dataclass(eq=False)
@@ -217,7 +224,7 @@ class SurrogatePair:
     assumptions only ever see (a_tilde, y_tilde).
     """
 
-    a_tilde: LinearOperator
+    a_tilde: Circulant | Dense
     y_tilde: np.ndarray
 
     def __post_init__(self):

@@ -14,16 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateColumnError, SingularDesignError
-from .model import (
-    LinearOperator,
-    SurrogatePair,
-    apply,
-    apply_adjoint,
-    column_norms_sq,
-    cyclic_convolve,
-    cyclic_correlate,
-    gram_generator,
-)
+from .model import Circulant, Dense, SurrogatePair, apply, apply_adjoint, cyclic_convolve
 
 
 @dataclass
@@ -137,11 +128,11 @@ def kkt_check(
     pair: SurrogatePair, weights: WeightVector, gamma: float, x: np.ndarray
 ) -> float:
     x = np.asarray(x, dtype=np.float64)
-    score = apply_adjoint(pair.a_tilde, pair.y_tilde - apply(pair.a_tilde, x))
+    score = _fresh_score(pair.a_tilde, pair.y_tilde, x)
     return _kkt_from_score(score, x, gamma * weights.values / 2.0)
 
 
-def _fresh_score(op: LinearOperator, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _fresh_score(op: Circulant | Dense, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return apply_adjoint(op, y - apply(op, x))
 
 
@@ -173,7 +164,7 @@ def weighted_lasso(
     if tol_coord is None:
         tol_coord = 1e-9 * (1.0 + float(np.abs(pair.y_tilde).max(initial=0.0)))
 
-    if op.kind == "circulant":
+    if isinstance(op, Circulant):
         iterations, converged = _descend_circulant(
             op, pair.y_tilde, x, thresholds, tol_coord, config
         )
@@ -196,12 +187,12 @@ def weighted_lasso(
 def _descend_circulant(op, y, x, thresholds, tol_coord, config):
     """CD sweeps tracking the score h = A^T (y - A x); O(p) per coordinate."""
     p = x.size
-    gram = gram_generator(op)
+    gram = op.gram_generator()
     g0 = gram[0]
     if g0 <= 0.0:
         raise DegenerateColumnError(0)
     gram_ext = np.concatenate([gram, gram])
-    h = cyclic_correlate(op.generator, y)
+    h = op.adjoint(y)
     if x.any():
         h -= cyclic_convolve(gram, x)
 
@@ -261,13 +252,6 @@ def _descend_dense(op, y, x, thresholds, tol_coord, config):
     return iterations, False
 
 
-def _support_columns(op: LinearOperator, support: np.ndarray) -> np.ndarray:
-    if op.kind == "dense":
-        return op.dense[:, support]
-    cols = [np.roll(op.generator, k) for k in support]
-    return np.stack(cols, axis=1)
-
-
 def oracle_least_squares(
     pair: SurrogatePair, support, rank_tol: float = 1e-10
 ) -> np.ndarray:
@@ -280,7 +264,7 @@ def oracle_least_squares(
     p = pair.a_tilde.n_cols
     if support.min() < 0 or support.max() >= p:
         raise ValueError("support indices out of range")
-    cols = _support_columns(pair.a_tilde, support)
+    cols = pair.a_tilde.columns(support)
     sings = np.linalg.svd(cols, compute_uv=False)
     if sings[-1] <= rank_tol * sings[0]:
         raise SingularDesignError(float(sings[-1]), float(sings[0]))

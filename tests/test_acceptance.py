@@ -25,12 +25,11 @@ from wlasso.diagnostics import (
 )
 from wlasso.experiments import ExperimentConfig, run_mse_vs_m, rows_to_csv
 from wlasso.model import (
-    LinearOperator,
+    Dense,
     SurrogatePair,
     apply,
     deviation_at_truth,
     make_sparse_signal,
-    materialize,
     sample_poisson,
     trial_rng,
 )
@@ -107,7 +106,7 @@ def test_criterion_2_orthonormal_equivalence():
         y = rng.normal(size=n) * 3.0
         d = rng.uniform(0.1, 3.0, size=p)
         gamma = gammas[t % 3]
-        pair = SurrogatePair(LinearOperator(kind="dense", dense=qmat), y)
+        pair = SurrogatePair(Dense(qmat), y)
         res = weighted_lasso(
             pair, WeightVector(d, "nonconstant"), SolverConfig(gamma=gamma)
         )
@@ -223,7 +222,7 @@ def test_criterion_5_structural_identities():
         ).counts.astype(np.float64)
         pair = cv.surrogate_convolution(inst, y)
         dense_pair = SurrogatePair(
-            LinearOperator(kind="dense", dense=materialize(pair.a_tilde)),
+            Dense(pair.a_tilde.materialize()),
             pair.y_tilde,
         )
         w = cv.nonconstant_weights(inst, y)

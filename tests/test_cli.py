@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.cli import main
 from wlasso.convolution import sample_parents, sensing_operator
 from wlasso.model import apply, sample_poisson, trial_rng
@@ -26,6 +27,24 @@ def write_convolution_npz(path, with_x_star=True, with_y=True):
     if with_x_star:
         arrays["x_star"] = x_star
     np.savez(path, **arrays)
+
+
+def write_bernoulli_npz(path, **overrides):
+    rng = trial_rng(0)
+    inst = sample_bernoulli_matrix(200, 10, 0.5, rng)
+    x_star = np.zeros(10)
+    x_star[[2, 6]] = [4.0, 6.0]
+    y = sample_poisson(inst.a @ x_star, rng).counts.astype(np.float64)
+    arrays = {"a": inst.a, "q": np.float64(0.5), "y": y, "x_star": x_star}
+    arrays.update(overrides)
+    np.savez(path, **arrays)
+
+
+MODEL_ARGS = {
+    "convolution": ["--model", "convolution", "--p", "50", "--m", "10", "--seed", "3"],
+    "bernoulli": ["--model", "bernoulli", "--p", "50", "--n", "2000", "--s", "3",
+                  "--l1", "30", "--seed", "3"],
+}
 
 
 class TestExitCodes:
@@ -95,8 +114,68 @@ class TestSolve:
         assert code == 1
         assert "needs 'y'" in err
 
+    @pytest.mark.parametrize("weights, bad", [
+        ("foo", "foo"), ("", ""), ("nonconstant,bogus", "bogus"),
+    ])
+    def test_unknown_weight_kind_is_usage_error(self, weights, bad, capsys):
+        code, out, err = run_cli(
+            ["solve", "--p", "100", "--m", "20", "--seed", "1", "--weights", weights], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert f"unknown weight kind {bad!r}" in err
+
+    def test_reads_bernoulli_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "bern.npz"
+        write_bernoulli_npz(path)
+        code, out, _ = run_cli(["solve", "--instance", str(path)], capsys)
+        assert code == 0
+        assert out.startswith("estimator=ls_oracle")
+
+
+class TestInstanceValidation:
+    """Malformed --instance files are usage errors naming the offending key."""
+
+    @pytest.mark.parametrize("model, key, value", [
+        ("convolution", "x_star", np.ones(29)),
+        ("convolution", "y", -np.ones(30)),
+        ("convolution", "y", np.ones((30, 1))),
+        ("convolution", "y", np.full(30, np.nan)),
+        ("convolution", "y", np.ones(31)),
+        ("convolution", "counts", np.array([1, -1, 2])),
+        ("bernoulli", "a", 3.7 * sample_bernoulli_matrix(200, 10, 0.5, trial_rng(0)).a),
+        ("bernoulli", "q", np.float64(1.5)),
+    ], ids=["x_star-length", "y-negative", "y-not-1d", "y-not-finite", "y-length",
+            "counts-negative", "a-not-binary", "q-outside"])
+    def test_malformed_file_is_usage_error(self, model, key, value, tmp_path, capsys):
+        path = tmp_path / "bad.npz"
+        if model == "convolution":
+            rng = trial_rng(0)
+            counts = sample_parents(30, 12, rng).counts
+            arrays = {"counts": counts, "y": np.ones(30), "x_star": np.ones(30)}
+            arrays[key] = value
+            np.savez(path, **arrays)
+        else:
+            write_bernoulli_npz(path, **{key: value})
+        code, _, err = run_cli(["solve", "--instance", str(path)], capsys)
+        assert code == 1, err
+        assert f"'{key}'" in err
+
 
 class TestWeights:
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    @pytest.mark.parametrize("kind", ["constant", "nonconstant", "oracle"])
+    def test_every_model_and_kind(self, model, kind, capsys):
+        code, out, err = run_cli(["weights", *MODEL_ARGS[model], "--kind", kind], capsys)
+        assert code == 0, err
+        lines = out.strip().splitlines()
+        assert lines[0] == "index,weight"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(i) for i, _ in rows] == list(range(50))
+        values = np.array([float(v) for _, v in rows])
+        assert np.all(np.isfinite(values)) and np.all(values > 0)
+        assert (np.unique(values).size == 1) == (kind == "constant")
+
     def test_csv_has_one_row_per_coordinate(self, capsys):
         code, out, _ = run_cli(["weights", "--p", "50", "--m", "10", "--seed", "3"], capsys)
         assert code == 0
@@ -254,6 +333,16 @@ class TestExperiment:
         code, _, err = run_cli(["experiment", "--config", str(cfg)], capsys)
         assert code == 1
         assert "pick one sweep" in err
+
+    def test_negative_threads_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG)
+        code, out, err = run_cli(
+            ["experiment", "--config", str(cfg), "--threads", "-1"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "--threads" in err
 
     def test_missing_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(["experiment"], capsys)

@@ -17,7 +17,6 @@ from wlasso.convolution import (
     default_theta,
     local_variance_estimates,
     nonconstant_weights,
-    oracle_weights,
     sample_parents,
     sensing_operator,
     surrogate_convolution,
@@ -27,10 +26,10 @@ from wlasso.model import (
     cyclic_correlate,
     deviation_at_truth,
     make_sparse_signal,
-    materialize,
     sample_poisson,
     trial_rng,
 )
+from wlasso.sensing import oracle_weights
 from wlasso.solver import SolverConfig, weighted_lasso
 
 
@@ -92,9 +91,9 @@ class TestSurrogate:
         inst, _, y = draw_instance(2, p=24, m=10)
         pair = surrogate_convolution(inst, y)
         rm = math.sqrt(inst.m)
-        sensing = materialize(sensing_operator(inst))
+        sensing = sensing_operator(inst).materialize()
         want = sensing / rm - (rm - 1.0) / inst.p
-        assert np.allclose(materialize(pair.a_tilde), want, atol=1e-12)
+        assert np.allclose(pair.a_tilde.materialize(), want, atol=1e-12)
 
     def test_centering_identity_noiseless(self):
         # feeding exact intensities through the Y-map lands on A_tilde x*

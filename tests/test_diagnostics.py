@@ -8,7 +8,6 @@ import pytest
 
 from wlasso.convolution import (
     ConvolutionInstance,
-    oracle_weights,
     sample_parents,
     surrogate_convolution,
 )
@@ -27,17 +26,18 @@ from wlasso.diagnostics import (
 )
 from wlasso.errors import EnumerationGuardError, MemoryGuardError
 from wlasso.model import (
-    LinearOperator,
+    Circulant,
+    Dense,
     SurrogatePair,
     apply,
-    materialize,
     trial_rng,
 )
+from wlasso.sensing import oracle_weights
 from wlasso.solver import WeightVector
 
 
 def identity_op(p):
-    return LinearOperator(kind="circulant", generator=np.eye(p)[0])
+    return Circulant(np.eye(p)[0])
 
 
 def random_surrogate_design(seed, p=24, m=12):
@@ -49,15 +49,15 @@ def random_surrogate_design(seed, p=24, m=12):
 class TestGramDeviation:
     def test_identity_is_zero(self):
         assert gram_deviation(identity_op(8)) == 0.0
-        assert gram_deviation(LinearOperator(kind="dense", dense=np.eye(8))) == 0.0
+        assert gram_deviation(Dense(np.eye(8))) == 0.0
 
     def test_circulant_equals_dense_path(self):
         op = random_surrogate_design(1)
-        dense = LinearOperator(kind="dense", dense=materialize(op))
+        dense = Dense(op.materialize())
         assert gram_deviation(op) == pytest.approx(gram_deviation(dense), abs=1e-12)
 
     def test_dense_guard(self):
-        op = LinearOperator(kind="dense", dense=np.ones((2, 10)))
+        op = Dense(np.ones((2, 10)))
         with pytest.raises(MemoryGuardError):
             gram_deviation(op, max_dense_p=5)
 
@@ -82,7 +82,7 @@ class TestGramDeviation:
         for seed in range(200):
             inst = sample_bernoulli_matrix(n, p, q, trial_rng(seed))
             at = (inst.a - q) / math.sqrt(n * q * (1 - q))
-            if gram_deviation(LinearOperator(kind="dense", dense=at)) <= envelope:
+            if gram_deviation(Dense(at)) <= envelope:
                 hits += 1
         assert hits >= 190
 
@@ -94,7 +94,7 @@ class TestRipLower:
 
     def test_s_one_is_min_diagonal(self):
         op = random_surrogate_design(2, p=10, m=6)
-        gram = materialize(op).T @ materialize(op)
+        gram = op.materialize().T @ op.materialize()
         assert rip_lower_bruteforce(op, 1) == pytest.approx(
             float(np.diag(gram).min()), abs=1e-12
         )
@@ -102,7 +102,7 @@ class TestRipLower:
     def test_matches_rayleigh_random_search(self):
         op = random_surrogate_design(3, p=12, m=8)
         exact = rip_lower_bruteforce(op, 2)
-        gram = materialize(op).T @ materialize(op)
+        gram = op.materialize().T @ op.materialize()
         rng = trial_rng(4)
         best = np.inf
         for support in itertools.combinations(range(12), 2):
@@ -183,7 +183,7 @@ class TestWeightsCover:
         inst = sample_parents(30, 12, trial_rng(9))
         x_star = np.zeros(30)
         x_star[[1, 4]] = [2.0, 3.0]
-        op = LinearOperator(kind="circulant", generator=inst.counts.astype(float))
+        op = Circulant(inst.counts.astype(float))
         pair = surrogate_convolution(inst, apply(op, x_star))
         rep = weights_cover(pair, x_star, WeightVector.constant(30, 0.5))
         assert rep.passed
@@ -330,7 +330,7 @@ class TestAssumptionReport:
         rng = trial_rng(seed + 1)
         x_star = np.zeros(40)
         x_star[[3, 17]] = [4.0, 6.0]
-        op = LinearOperator(kind="circulant", generator=inst.counts.astype(float))
+        op = Circulant(inst.counts.astype(float))
         y = rng.poisson(apply(op, x_star)).astype(float)
         pair = surrogate_convolution(inst, y)
         w = oracle_weights(pair, x_star)

@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from wlasso.errors import MemoryGuardError
 from wlasso.model import (
-    LinearOperator,
+    Circulant,
+    Dense,
     SparseSignal,
     SurrogatePair,
     apply,
     apply_adjoint,
-    column_norms_sq,
     cyclic_convolve,
     cyclic_correlate,
     deviation_at_truth,
-    gram_generator,
     make_sparse_signal,
-    materialize,
     sample_poisson,
     trial_rng,
 )
@@ -170,8 +168,8 @@ class TestCirculantAlgebra:
 
     def test_materialize_index_rule(self):
         c = trial_rng(2).normal(size=7)
-        op = LinearOperator(kind="circulant", generator=c)
-        mat = materialize(op)
+        op = Circulant(c)
+        mat = op.materialize()
         for i in range(7):
             for j in range(7):
                 assert mat[i, j] == c[(i - j) % 7]
@@ -179,8 +177,8 @@ class TestCirculantAlgebra:
     def test_apply_and_adjoint_match_dense(self):
         rng = trial_rng(3)
         c = rng.normal(size=12)
-        op = LinearOperator(kind="circulant", generator=c)
-        mat = materialize(op)
+        op = Circulant(c)
+        mat = op.materialize()
         x = rng.normal(size=12)
         y = rng.normal(size=12)
         assert np.allclose(apply(op, x), mat @ x, atol=1e-12)
@@ -188,54 +186,49 @@ class TestCirculantAlgebra:
 
     def test_gram_generator_is_gram_column(self):
         c = trial_rng(4).normal(size=9)
-        op = LinearOperator(kind="circulant", generator=c)
-        mat = materialize(op)
-        assert np.allclose(gram_generator(op), (mat.T @ mat)[:, 0], atol=1e-12)
-
-    def test_column_norms_both_kinds(self):
-        rng = trial_rng(5)
-        c = rng.normal(size=8)
-        circ = LinearOperator(kind="circulant", generator=c)
-        dense = LinearOperator(kind="dense", dense=materialize(circ))
-        want = np.sum(materialize(circ) ** 2, axis=0)
-        assert np.allclose(column_norms_sq(circ), want, atol=1e-12)
-        assert np.allclose(column_norms_sq(dense), want, atol=1e-12)
+        op = Circulant(c)
+        mat = op.materialize()
+        assert np.allclose(op.gram_generator(), (mat.T @ mat)[:, 0], atol=1e-12)
 
     def test_materialize_guard(self):
-        op = LinearOperator(kind="circulant", generator=np.ones(100))
+        op = Circulant(np.ones(100))
         with pytest.raises(MemoryGuardError):
-            materialize(op, max_p=50)
+            op.materialize(max_p=50)
 
 
 class TestOperatorValidation:
     def test_exactly_one_payload(self):
+        with pytest.raises(TypeError):
+            Circulant()
+        with pytest.raises(TypeError):
+            Dense()
         with pytest.raises(ValueError):
-            LinearOperator(kind="circulant")
-        with pytest.raises(ValueError):
-            LinearOperator(kind="dense")
-        with pytest.raises(ValueError):
-            LinearOperator(
-                kind="dense", dense=np.eye(2), generator=np.ones(2)
-            )
+            Circulant(np.empty(0))
 
     def test_kind_payload_mismatch(self):
         with pytest.raises(ValueError):
-            LinearOperator(kind="circulant", dense=np.eye(2))
+            Circulant(np.eye(2))
         with pytest.raises(ValueError):
-            LinearOperator(kind="dense", generator=np.ones(3))
-        with pytest.raises(ValueError):
-            LinearOperator(kind="toeplitz", generator=np.ones(3))
+            Dense(np.ones(3))
+
+    def test_columns_match_materialized(self):
+        rng = trial_rng(5)
+        circ = Circulant(rng.normal(size=8))
+        dense = Dense(circ.materialize())
+        idx = np.array([0, 3, 7])
+        assert np.array_equal(circ.columns(idx), circ.materialize()[:, idx])
+        assert np.array_equal(dense.columns(idx), circ.materialize()[:, idx])
 
     def test_shapes(self):
-        op = LinearOperator(kind="dense", dense=np.ones((4, 6)))
+        op = Dense(np.ones((4, 6)))
         assert op.n_rows == 4 and op.n_cols == 6
-        circ = LinearOperator(kind="circulant", generator=np.ones(5))
+        circ = Circulant(np.ones(5))
         assert circ.n_rows == 5 and circ.n_cols == 5
 
 
 class TestSurrogatePair:
     def test_rejects_length_mismatch(self):
-        op = LinearOperator(kind="dense", dense=np.ones((3, 4)))
+        op = Dense(np.ones((3, 4)))
         with pytest.raises(ValueError):
             SurrogatePair(a_tilde=op, y_tilde=np.ones(5))
 
@@ -243,7 +236,7 @@ class TestSurrogatePair:
         rng = trial_rng(6)
         mat = rng.normal(size=(10, 7))
         pair = SurrogatePair(
-            a_tilde=LinearOperator(kind="dense", dense=mat),
+            a_tilde=Dense(mat),
             y_tilde=rng.normal(size=10),
         )
         x = rng.normal(size=7)

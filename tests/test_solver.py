@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from wlasso.errors import DegenerateColumnError, SingularDesignError
 from wlasso.model import (
-    LinearOperator,
+    Circulant,
+    Dense,
     SurrogatePair,
     apply,
-    materialize,
     trial_rng,
 )
 from wlasso.solver import (
@@ -29,14 +29,14 @@ def random_dense_pair(seed, n=30, p=12):
     rng = trial_rng(seed)
     mat = rng.normal(size=(n, p)) / np.sqrt(n)
     y = rng.normal(size=n) * 2.0
-    return SurrogatePair(LinearOperator(kind="dense", dense=mat), y)
+    return SurrogatePair(Dense(mat), y)
 
 
 def random_circulant_pair(seed, p=40):
     rng = trial_rng(seed)
     c = rng.normal(size=p) / np.sqrt(p)
     y = rng.normal(size=p) * 2.0
-    return SurrogatePair(LinearOperator(kind="circulant", generator=c), y)
+    return SurrogatePair(Circulant(c), y)
 
 
 def random_weights(seed, p):
@@ -68,7 +68,7 @@ class TestObjective:
     def test_identity_design_by_hand(self):
         # residual (2, -1), penalty 4 * 1 * |1|: objective 5 + 4 = 9
         pair = SurrogatePair(
-            LinearOperator(kind="circulant", generator=np.array([1.0, 0.0])),
+            Circulant(np.array([1.0, 0.0])),
             np.array([3.0, -1.0]),
         )
         w = WeightVector.constant(2, 1.0)
@@ -88,7 +88,7 @@ class TestClosedForms:
         p = 16
         rng = trial_rng(1)
         pair = SurrogatePair(
-            LinearOperator(kind="circulant", generator=np.eye(p)[0]),
+            Circulant(np.eye(p)[0]),
             rng.normal(size=p) * 3.0,
         )
         w = random_weights(2, p)
@@ -104,7 +104,7 @@ class TestClosedForms:
         p = 12
         rng = trial_rng(3)
         q_mat, _ = np.linalg.qr(rng.normal(size=(p, p)))
-        pair = SurrogatePair(LinearOperator(kind="dense", dense=q_mat), rng.normal(size=p) * 2.0)
+        pair = SurrogatePair(Dense(q_mat), rng.normal(size=p) * 2.0)
         w = random_weights(4, p)
         gamma = 2.5
         res = weighted_lasso(pair, w, SolverConfig(gamma=gamma))
@@ -152,8 +152,8 @@ class TestKKT:
 class TestInvariances:
     def test_circulant_and_dense_paths_agree(self):
         pair_c = random_circulant_pair(12, p=32)
-        dense = materialize(pair_c.a_tilde)
-        pair_d = SurrogatePair(LinearOperator(kind="dense", dense=dense), pair_c.y_tilde)
+        dense = pair_c.a_tilde.materialize()
+        pair_d = SurrogatePair(Dense(dense), pair_c.y_tilde)
         w = random_weights(13, 32)
         cfg = SolverConfig(gamma=2.3)
         a = weighted_lasso(pair_c, w, cfg)
@@ -175,7 +175,7 @@ class TestInvariances:
         w = random_weights(17, 12)
         gamma = 3.0
         rescaled = SurrogatePair(
-            LinearOperator(kind="dense", dense=pair.a_tilde.dense / w.values),
+            Dense(pair.a_tilde.dense / w.values),
             pair.y_tilde,
         )
         unit = WeightVector.constant(12, 1.0)
@@ -222,7 +222,7 @@ class TestInvariances:
         rng = trial_rng(25)
         mat = rng.normal(size=(10, 6))
         mat[:, 3] = 0.0
-        pair = SurrogatePair(LinearOperator(kind="dense", dense=mat), rng.normal(size=10))
+        pair = SurrogatePair(Dense(mat), rng.normal(size=10))
         with pytest.raises(DegenerateColumnError):
             weighted_lasso(pair, WeightVector.constant(6, 1.0), SolverConfig(gamma=3.0))
 
@@ -273,14 +273,14 @@ class TestRefitting:
         mat = rng.normal(size=(40, 15))
         x_true = np.zeros(15)
         x_true[[2, 7, 11]] = [3.0, -1.5, 2.0]
-        pair = SurrogatePair(LinearOperator(kind="dense", dense=mat), mat @ x_true)
+        pair = SurrogatePair(Dense(mat), mat @ x_true)
         x_hat = oracle_least_squares(pair, np.array([2, 7, 11]))
         assert np.max(np.abs(x_hat - x_true)) < 1e-10
 
     def test_oracle_ls_circulant(self):
         rng = trial_rng(31)
         c = rng.normal(size=24)
-        op = LinearOperator(kind="circulant", generator=c)
+        op = Circulant(c)
         x_true = np.zeros(24)
         x_true[[0, 5]] = [1.0, 2.0]
         pair = SurrogatePair(op, apply(op, x_true))
@@ -291,7 +291,7 @@ class TestRefitting:
         rng = trial_rng(38)
         mat = rng.normal(size=(30, 50))
         pair = SurrogatePair(
-            LinearOperator(kind="dense", dense=mat), rng.normal(size=30)
+            Dense(mat), rng.normal(size=30)
         )
         support = np.array([3, 11, 26, 44])
         x_hat = oracle_least_squares(pair, support)
@@ -302,7 +302,7 @@ class TestRefitting:
         rng = trial_rng(32)
         mat = rng.normal(size=(10, 4))
         mat[:, 1] = mat[:, 0]
-        pair = SurrogatePair(LinearOperator(kind="dense", dense=mat), rng.normal(size=10))
+        pair = SurrogatePair(Dense(mat), rng.normal(size=10))
         with pytest.raises(SingularDesignError):
             oracle_least_squares(pair, np.array([0, 1]))
 
@@ -320,7 +320,7 @@ class TestRefitting:
         mat = rng.normal(size=(50, 20)) / np.sqrt(50)
         x_true = np.zeros(20)
         x_true[[1, 8]] = [4.0, 3.0]
-        pair = SurrogatePair(LinearOperator(kind="dense", dense=mat), mat @ x_true)
+        pair = SurrogatePair(Dense(mat), mat @ x_true)
         first = weighted_lasso(
             pair, WeightVector.constant(20, 0.05), SolverConfig(gamma=2.5)
         )
