@@ -23,7 +23,7 @@ from .concentration import (
     empirical_deviation_bound,
     variance_envelope,
 )
-from .errors import EnumerationGuardError, RegimeViolationError
+from .errors import EnumerationGuardError, ParameterError, RegimeViolationError
 from .model import Dense, SurrogatePair
 from .solver import WeightVector
 
@@ -56,10 +56,12 @@ class BernoulliInstance:
 def sample_bernoulli_matrix(
     n: int, p: int, q: float, rng: np.random.Generator
 ) -> BernoulliInstance:
-    if n < 2 or p < 1:
-        raise ValueError("need n >= 2 and p >= 1")
+    if n < 2:
+        raise ParameterError("n", "must be >= 2", n)
+    if p < 1:
+        raise ParameterError("p", "must be >= 1", p)
     if not 0.0 < q < 1.0:
-        raise ValueError("need 0 < q < 1")
+        raise ParameterError("q", "must lie in (0, 1)", q)
     a = (rng.random((n, p)) < q).astype(np.float64)
     return BernoulliInstance(n=n, p=p, q=q, a=a, column_sums=a.sum(axis=0))
 

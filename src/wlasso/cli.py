@@ -24,10 +24,19 @@ from .config import (
 )
 from .concentration import tail_coverage_test
 from .diagnostics import assumption_report
-from .errors import WeightKindError
+from .errors import ParameterError, WeightKindError
 from .experiments import run_mse_vs_m, run_mse_vs_p, rows_to_csv
 from .model import trial_rng
-from .sensing import MODELS, WEIGHT_KINDS, Draw, default_theta, draw, surrogate, weights
+from .sensing import (
+    MODELS,
+    WEIGHT_KINDS,
+    Draw,
+    check_weight_kind,
+    default_theta,
+    draw,
+    surrogate,
+    weights,
+)
 from .solver import SolverConfig, oracle_least_squares, two_step, weighted_lasso
 
 
@@ -116,10 +125,14 @@ def _instance_from_args(args) -> Draw:
     if args.instance:
         return _load_instance(args.instance, args.q)
     rng = trial_rng(_resolve_seed(args.seed))
-    return draw(
-        args.model, args.p, args.s, args.l1, rng,
-        m=args.m, n=args.n, q=args.q, noiseless=args.noiseless,
-    )
+    try:
+        return draw(
+            args.model, args.p, args.s, args.l1, rng,
+            m=args.m, n=args.n, q=args.q, noiseless=args.noiseless,
+        )
+    except ParameterError as exc:
+        flag = "l1" if exc.name == "target_l1" else exc.name
+        raise _UsageError(f"--{flag} {exc.why}, got {exc.value}") from exc
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -141,6 +154,9 @@ def _nmse(x_hat: np.ndarray, x_star: np.ndarray) -> str:
 
 def _cmd_solve(args) -> int:
     inst, y, x_star, support = _instance_from_args(args)
+    kinds = [kind.strip() for kind in args.weights.split(",")]
+    for kind in kinds:
+        check_weight_kind(kind, x_star)
     pair = surrogate(inst, y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -149,8 +165,7 @@ def _cmd_solve(args) -> int:
     if support is not None and support.size:
         x_ls = oracle_least_squares(pair, support)
         lines.append(f"estimator=ls_oracle weight_kind=none nmse={_nmse(x_ls, x_star)}")
-    for kind in args.weights.split(","):
-        kind = kind.strip()
+    for kind in kinds:
         w = weights(kind, inst, pair, y, x_star, args.theta, args.c)
         result = weighted_lasso(pair, w, config)
         _, x_two = two_step(result.x_hat, pair, config.support_eps)

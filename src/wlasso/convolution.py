@@ -24,6 +24,7 @@ from .concentration import (
     empirical_deviation_bound,
     variance_envelope,
 )
+from .errors import ParameterError
 from .model import Circulant, SurrogatePair, cyclic_correlate
 from .solver import WeightVector
 
@@ -52,8 +53,10 @@ class ConvolutionInstance:
 
 
 def sample_parents(p: int, m: int, rng: np.random.Generator) -> ConvolutionInstance:
-    if p < 2 or m < 1:
-        raise ValueError("need p >= 2 and m >= 1")
+    if p < 2:
+        raise ParameterError("p", "must be >= 2", p)
+    if m < 1:
+        raise ParameterError("m", "must be >= 1", m)
     parents = rng.integers(0, p, size=m)
     counts = np.bincount(parents, minlength=p)
     return ConvolutionInstance(p=p, m=m, counts=counts, parents=parents)

@@ -21,6 +21,16 @@ class SingularDesignError(ValueError):
         )
 
 
+class ParameterError(ValueError):
+    """A model parameter lies outside its valid range; name is the parameter."""
+
+    def __init__(self, name: str, why: str, value):
+        self.name = name
+        self.why = why
+        self.value = value
+        super().__init__(f"{name} {why}, got {value!r}")
+
+
 class RegimeViolationError(ValueError):
     """Model parameters fall outside the regime a formula needs."""
 
@@ -35,3 +45,14 @@ class MemoryGuardError(ValueError):
 
 class WeightKindError(ValueError):
     """A weight kind is unknown, or needs the truth x* and none is given."""
+
+
+class NonConvergenceError(RuntimeError):
+    """A solve hit its sweep limit before meeting the KKT tolerance."""
+
+    def __init__(self, sweeps: int, kkt_residual: float):
+        self.sweeps = sweeps
+        self.kkt_residual = kkt_residual
+        super().__init__(
+            f"not converged after {sweeps} sweeps (KKT residual {kkt_residual:.3e})"
+        )

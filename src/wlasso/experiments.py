@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .model import trial_rng
 from .sensing import MODELS, WEIGHT_KINDS, draw, surrogate, weights
 from .solver import SolverConfig, two_step, weighted_lasso, oracle_least_squares
@@ -193,6 +194,8 @@ def run_trial(point: TrialPoint, trial_index: int, gamma: float) -> TrialOutcome
                 if kind not in weights_by_kind:
                     raise RuntimeError(failures.get(("weights", kind), "no weights"))
                 result = weighted_lasso(pair, weights_by_kind[kind], config)
+                if not result.converged:
+                    raise NonConvergenceError(result.iterations, result.kkt_residual)
                 _, x_hat = two_step(result.x_hat, pair, point.support_eps)
             err = x_hat - x_star
             nmse[(est, kind)] = float(err @ err) / denom
@@ -221,8 +224,12 @@ def _map_trials(point, indices, gamma, threads):
 
 def tune_gamma(
     cfg: ExperimentConfig, point: TrialPoint, threads: int = 1
-) -> dict[tuple[str, str], float]:
-    """Pick gamma per estimator on a disjoint tuning block; ties go small."""
+) -> dict[tuple[str, str], Optional[float]]:
+    """Pick gamma per estimator on a disjoint tuning block; ties go small.
+
+    Every gamma is scored on the same trials: those the estimator finished at
+    every gamma of the grid.  If there are none, its gamma is None (untuned).
+    """
     keys = [k for k in estimator_keys(point) if k[0] != "ls_oracle"]
     out = {("ls_oracle", "none"): 0.0}
     if not keys:
@@ -232,19 +239,14 @@ def tune_gamma(
             out[key] = cfg.gamma_grid[0]
         return out
     indices = [TUNE_INDEX_BASE + j for j in range(cfg.tune_trials)]
-    means = {key: [] for key in keys}
-    for gamma in cfg.gamma_grid:
-        outcomes = _map_trials(point, indices, gamma, threads)
-        for key in keys:
-            vals = [
-                o.nmse[key]
-                for _, o in sorted(outcomes.items())
-                if key in o.nmse
-            ]
-            means[key].append(np.mean(vals) if vals else math.inf)
+    by_gamma = [_map_trials(point, indices, gamma, threads) for gamma in cfg.gamma_grid]
     for key in keys:
-        arr = np.asarray(means[key])
-        out[key] = cfg.gamma_grid[int(np.argmin(arr))]
+        common = [i for i in indices if all(key in outcomes[i].nmse for outcomes in by_gamma)]
+        if not common:
+            out[key] = None
+            continue
+        means = [np.mean([outcomes[i].nmse[key] for i in common]) for outcomes in by_gamma]
+        out[key] = cfg.gamma_grid[int(np.argmin(means))]
     return out
 
 
@@ -258,7 +260,7 @@ class ExperimentRow:
     q: Optional[float]
     estimator: str
     weight_kind: str
-    gamma_star: float
+    gamma_star: Optional[float]
     trials: int
     failures: int
     nmse_mean: Optional[float]
@@ -272,7 +274,9 @@ def run_point(
 ) -> list[ExperimentRow]:
     gamma_star = tune_gamma(cfg, point, threads)
     keys = estimator_keys(point)
-    eval_gammas = sorted({gamma_star[k] for k in keys if k[0] != "ls_oracle"})
+    eval_gammas = sorted(
+        {gamma_star[k] for k in keys if k[0] != "ls_oracle" and gamma_star[k] is not None}
+    )
     if not eval_gammas:
         eval_gammas = [cfg.gamma_grid[0]]
     indices = list(range(cfg.trials))
@@ -285,11 +289,12 @@ def run_point(
     for key in keys:
         est, kind = key
         g_star = gamma_star.get(key, 0.0)
-        source = outcomes_by_gamma[eval_gammas[0] if est == "ls_oracle" else g_star]
+        # an untuned estimator has no gamma to run at, so every trial counts as failed
+        source = outcomes_by_gamma.get(eval_gammas[0] if est == "ls_oracle" else g_star, {})
         vals, covered, failures = [], [], 0
         for i in indices:
-            o = source[i]
-            if key in o.nmse:
+            o = source.get(i)
+            if o is not None and key in o.nmse:
                 vals.append(o.nmse[key])
                 covered.append(True if kind == "none" else o.coverage.get(kind, False))
             else:
@@ -326,8 +331,14 @@ def run_point(
     return rows
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
+
+
 def run_mse_vs_m(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
     """Error-versus-parents sweep; rows appear in increasing m."""
+    _check_threads(threads)
     if cfg.model != "convolution":
         raise ValueError("the m sweep is defined for the convolution model")
     rows = []
@@ -338,6 +349,7 @@ def run_mse_vs_m(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]
 
 def run_mse_vs_p(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
     """Error-versus-dimension sweep; convolution derives m from the m rule."""
+    _check_threads(threads)
     rows = []
     for p in cfg.p_grid:
         m = m_from_p(p, cfg.m_coef) if cfg.model == "convolution" else 0

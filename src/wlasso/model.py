@@ -5,14 +5,25 @@ Dense stores the matrix, Circulant only its generator column c, with entry
 (l, k) equal to c[(l - k) mod p].  Callers branch on the class only where the
 algorithm itself differs: the coordinate-descent loop, which runs on the Gram
 generator of a circulant design, and the Gram lookups in diagnostics.
+
+Every circulant product goes through cyclic_convolve (cyclic_correlate reverses
+one operand and calls it).  The DFT diagonalises a circulant matrix, so a dense
+product is an O(p log p) real FFT.  When one operand has at most
+SUPPORT_SUM_MAX nonzeros, as the parent counts and an s-sparse signal usually
+do, the product is instead summed over that support in O(K p).  The support
+sum is sign-exact, the FFT is not: its round-off leaves entries that are
+exactly zero slightly negative.  So the Poisson intensity, apply(A, x*,
+exact=True), always takes the support sum, whatever the sizes, because
+sample_poisson rejects a negative intensity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MemoryGuardError
+from .errors import MemoryGuardError, ParameterError
 
 
 def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
@@ -38,7 +49,7 @@ class SparseSignal:
         self.support = np.asarray(self.support, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.p < 1:
-            raise ValueError("p must be >= 1")
+            raise ParameterError("p", "must be >= 1", self.p)
         if self.support.ndim != 1 or self.values.shape != self.support.shape:
             raise ValueError("support and values must be aligned 1-d arrays")
         if self.support.size:
@@ -72,13 +83,13 @@ def make_sparse_signal(
     coordinates present in every draw.
     """
     if not 0 <= s <= p:
-        raise ValueError("need 0 <= s <= p")
+        raise ParameterError("s", f"must lie in [0, p = {p}]", s)
     if s == 0:
         if target_l1 != 0:
-            raise ValueError("s = 0 requires target_l1 = 0")
+            raise ParameterError("target_l1", "must be 0 when s is 0", target_l1)
         return SparseSignal(p, np.empty(0, np.int64), np.empty(0), 0.0)
-    if target_l1 <= 0:
-        raise ValueError("target_l1 must be positive when s > 0")
+    if not 0 < target_l1 < math.inf:
+        raise ParameterError("target_l1", "must be positive and finite when s > 0", target_l1)
     support = np.sort(rng.choice(p, size=s, replace=False))
     raw = np.exp(-np.arange(s) / s) + 0.2
     values = raw * (target_l1 / raw.sum())
@@ -111,14 +122,32 @@ def sample_poisson(intensity, rng: np.random.Generator) -> PoissonObservations:
     return PoissonObservations(np.asarray(counts, np.int64), lam.size)
 
 
-def cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[j] = sum_k a[(j - k) mod p] b[k] for equal-length vectors."""
+SUPPORT_SUM_MAX = 64
+
+
+def cyclic_convolve(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
+    """out[j] = sum_k a[(j - k) mod p] b[k] for equal-length vectors.
+
+    Sums b[k] * roll(a, k) over the support of the sparser operand when it has
+    at most SUPPORT_SUM_MAX nonzeros, or at any size when exact is set, at
+    O(nnz p).  That sum is sign-exact: nonnegative operands give a nonnegative
+    result, zero wherever no shift meets the support.  Otherwise multiplies
+    the real FFT spectra.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     p = a.size
     if b.size != p:
         raise ValueError("length mismatch")
-    full = np.convolve(a, b)
-    out = full[:p].copy()
-    out[: p - 1] += full[p:]
+    if np.count_nonzero(a) < np.count_nonzero(b):
+        a, b = b, a
+    support = np.flatnonzero(b)
+    if support.size > SUPPORT_SUM_MAX and not exact:
+        return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), p)
+    doubled = np.concatenate((a, a))  # roll(a, k) is doubled[p - k : 2p - k]
+    out = np.zeros(p)
+    for k, bk in zip(support.tolist(), b[support].tolist()):
+        out += bk * doubled[p - k : 2 * p - k]
     return out
 
 
@@ -127,7 +156,7 @@ def cyclic_correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rev = np.empty_like(np.asarray(a, dtype=np.float64))
     rev[0] = a[0]
     rev[1:] = a[:0:-1]
-    return cyclic_convolve(rev, np.asarray(b, dtype=np.float64))
+    return cyclic_convolve(rev, b)
 
 
 @dataclass(eq=False)
@@ -147,8 +176,8 @@ class Circulant:
 
     n_cols = n_rows
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return cyclic_convolve(self.generator, x)
+    def apply(self, x: np.ndarray, exact: bool = False) -> np.ndarray:
+        return cyclic_convolve(self.generator, x, exact)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return cyclic_correlate(self.generator, y)
@@ -188,8 +217,8 @@ class Dense:
     def n_cols(self) -> int:
         return self.dense.shape[1]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.dense @ x
+    def apply(self, x: np.ndarray, exact: bool = False) -> np.ndarray:
+        return self.dense @ x  # a matrix product is sign-exact already
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.dense.T @ y
@@ -202,11 +231,12 @@ class Dense:
         return np.array(self.dense)
 
 
-def apply(op: Circulant | Dense, x: np.ndarray) -> np.ndarray:
+def apply(op: Circulant | Dense, x: np.ndarray, exact: bool = False) -> np.ndarray:
+    """A x; exact asks for a sign-exact product, as a Poisson intensity needs."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n_cols,):
         raise ValueError("x has wrong length")
-    return op.apply(x)
+    return op.apply(x, exact)
 
 
 def apply_adjoint(op: Circulant | Dense, y: np.ndarray) -> np.ndarray:

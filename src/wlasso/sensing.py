@@ -45,7 +45,7 @@ def draw(
         inst = _convolution.sample_parents(p, m, rng)
     else:
         inst = _bernoulli.sample_bernoulli_matrix(n, p, q, rng)
-    intensity = apply(_module(inst).sensing_operator(inst), x_star)
+    intensity = apply(_module(inst).sensing_operator(inst), x_star, exact=True)
     y = intensity if noiseless else sample_poisson(intensity, rng).counts.astype(np.float64)
     return Draw(inst, y, x_star, signal.support)
 
@@ -67,18 +67,23 @@ def oracle_weights(pair: SurrogatePair, x_star, floor: float = 1e-12) -> WeightV
     return WeightVector(np.maximum(d, floor), "oracle")
 
 
+def check_weight_kind(kind: str, x_star) -> None:
+    """Reject a kind that is unknown, or that needs the truth x* when none is given."""
+    if kind not in WEIGHT_KINDS:
+        raise WeightKindError(
+            f"unknown weight kind {kind!r}; expected one of {', '.join(WEIGHT_KINDS)}"
+        )
+    if kind == "oracle" and x_star is None:
+        raise WeightKindError("oracle weights need x_star")
+
+
 def weights(
     kind: str, inst, pair: SurrogatePair, y, x_star=None,
     theta: Optional[float] = None, c: float = 1.0,
 ) -> WeightVector:
     """Weights of one kind; c scales the Bernoulli second-order term only."""
-    if kind not in WEIGHT_KINDS:
-        raise WeightKindError(
-            f"unknown weight kind {kind!r}; expected one of {', '.join(WEIGHT_KINDS)}"
-        )
+    check_weight_kind(kind, x_star)
     if kind == "oracle":
-        if x_star is None:
-            raise WeightKindError("oracle weights need x_star")
         return oracle_weights(pair, x_star)
     module = _module(inst)
     build = module.constant_weights if kind == "constant" else module.nonconstant_weights

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import wlasso.cli
 from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.cli import main
 from wlasso.convolution import sample_parents, sensing_operator
@@ -125,6 +126,28 @@ class TestSolve:
         assert out == ""
         assert f"unknown weight kind {bad!r}" in err
 
+    def test_unknown_weight_kind_rejected_before_any_work(self, monkeypatch, capsys):
+        calls = []
+        for name in ("oracle_least_squares", "weighted_lasso"):
+            monkeypatch.setattr(wlasso.cli, name, lambda *a, _n=name, **k: calls.append(_n))
+        code, _, err = run_cli(["solve", "--weights", "nonconstant,bogus"], capsys)
+        assert code == 1
+        assert "unknown weight kind 'bogus'" in err
+        assert calls == []
+
+    def test_oracle_without_truth_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(wlasso.cli, "weighted_lasso", lambda *a, **k: calls.append(a))
+        path = tmp_path / "no_truth.npz"
+        write_convolution_npz(path, with_x_star=False)
+        code, out, err = run_cli(
+            ["solve", "--instance", str(path), "--weights", "nonconstant,oracle"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "oracle weights need x_star" in err
+        assert calls == []
+
     def test_reads_bernoulli_instance_file(self, tmp_path, capsys):
         path = tmp_path / "bern.npz"
         write_bernoulli_npz(path)
@@ -160,6 +183,33 @@ class TestInstanceValidation:
         code, _, err = run_cli(["solve", "--instance", str(path)], capsys)
         assert code == 1, err
         assert f"'{key}'" in err
+
+
+class TestInstanceFlags:
+    """Out-of-range generation flags are usage errors naming the flag."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["weights", "--model", "bernoulli", "--q", "1.5", "--p", "20", "--n", "500"], "--q"),
+        (["weights", "--model", "bernoulli", "--n", "1", "--p", "20"], "--n"),
+        (["weights", "--model", "bernoulli", "--p", "0", "--s", "0", "--l1", "0"], "--p"),
+        (["solve", "--p", "1"], "--s"),
+        (["solve", "--p", "1", "--s", "1"], "--p"),
+        (["solve", "--p", "50", "--m", "0"], "--m"),
+        (["solve", "--p", "20", "--s", "30"], "--s"),
+        (["solve", "--s", "0"], "--l1"),
+        (["diagnose", "--l1", "-5"], "--l1"),
+        (["diagnose", "--l1", "inf"], "--l1"),
+    ], ids=["q-outside", "n-small", "bernoulli-p-zero", "s-above-p-1", "p-small", "m-zero",
+            "s-above-p", "l1-without-s", "l1-negative", "l1-infinite"])
+    def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert out == ""
+        assert err.startswith(f"error: {flag} ")
+
+    def test_flags_of_the_other_model_are_not_read(self, capsys):
+        code, _, err = run_cli(["weights", "--p", "20", "--q", "1.5", "--n", "0"], capsys)
+        assert code == 0, err
 
 
 class TestWeights:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import wlasso.experiments
 from wlasso.experiments import (
     CSV_HEADER,
     TUNE_INDEX_BASE,
     ExperimentConfig,
+    TrialOutcome,
     TrialPoint,
     estimator_keys,
     m_from_p,
@@ -154,6 +156,17 @@ class TestRunTrial:
         assert set(out.coverage) == {"constant", "nonconstant"}
 
 
+    def test_nonconverged_solve_is_a_failure(self):
+        point = conv_point(conv_config(max_iter=1, target_l1=100.0))
+        out = run_trial(point, 0, 4.0)
+        for key in (("lasso_two_step", "constant"), ("wlasso_two_step", "nonconstant")):
+            assert key not in out.nmse
+            assert out.failures[key].startswith(
+                "NonConvergenceError: not converged after 1 sweeps (KKT residual "
+            )
+        assert ("ls_oracle", "none") in out.nmse
+
+
 class TestTuneGamma:
     def test_values_come_from_grid(self):
         cfg = conv_config()
@@ -169,15 +182,36 @@ class TestTuneGamma:
         assert got[("wlasso_two_step", "nonconstant")] == 4.0
 
     def test_ties_break_small_on_noiseless_oracle(self):
-        # every gamma recovers exactly, so the first grid entry must win
+        # every gamma recovers exactly, so the first grid entry must win; at
+        # m = 16 every tuning trial finishes (at m = 8 each refit is singular)
         cfg = conv_config(
             estimators=("wlasso_two_step",),
             weight_kinds=("oracle",),
             noiseless=True,
             gamma_grid=(2.5, 4.0),
+            m_grid=(16,),
         )
         got = tune_gamma(cfg, conv_point(cfg))
         assert got[("wlasso_two_step", "oracle")] == 2.5
+
+    def test_gammas_compared_on_trials_finished_at_every_gamma(self, monkeypatch):
+        # at 4.0 the second trial fails; scored on the first alone, 2.1 wins,
+        # though its mean over both trials is far above 4.0's over one
+        key = ("lasso_two_step", "constant")
+        nmse = {2.1: (1.0, 100.0), 4.0: (2.0, None)}
+
+        def fake_map(point, indices, gamma, threads):
+            return {
+                i: TrialOutcome({key: v} if v is not None else {}, {}, {})
+                for i, v in zip(indices, nmse[gamma])
+            }
+
+        monkeypatch.setattr(wlasso.experiments, "_map_trials", fake_map)
+        cfg = conv_config(tune_trials=2, estimators=("lasso_two_step",),
+                          weight_kinds=("constant",))
+        assert tune_gamma(cfg, conv_point(cfg))[key] == 2.1
+        nmse[4.0] = (None, None)
+        assert tune_gamma(cfg, conv_point(cfg))[key] is None
 
     def test_stability_across_disjoint_splits(self):
         # Two disjoint 100-trial tuning splits per repetition.  After the
@@ -273,6 +307,24 @@ class TestSweeps:
         b = rows_to_csv(run_mse_vs_m(cfg, threads=1))
         c = rows_to_csv(run_mse_vs_m(cfg, threads=2))
         assert a == b == c
+
+    def test_nonconverged_solves_counted_in_csv(self):
+        # no solve converges in one sweep, so no estimator can be tuned either
+        cfg = conv_config(max_iter=1, target_l1=100.0)
+        lines = rows_to_csv(run_mse_vs_m(cfg)).splitlines()
+        header = CSV_HEADER.split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            oracle = row["estimator"] == "ls_oracle"
+            assert int(row["failures"]) == (0 if oracle else cfg.trials), line
+            assert row["gamma_star"] == ("0" if oracle else ""), line
+            assert (row["nmse_mean"] == "") is not oracle, line
+
+    @pytest.mark.parametrize("sweep", [run_mse_vs_m, run_mse_vs_p])
+    def test_negative_threads_rejected(self, sweep):
+        cfg = conv_config(p_grid=(60,), m_grid=(8,)) if sweep is run_mse_vs_p else conv_config()
+        with pytest.raises(ValueError, match="threads"):
+            sweep(cfg, threads=-1)
 
     def test_p_sweep_bernoulli_runs(self):
         cfg = conv_config(

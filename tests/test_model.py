@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wlasso.model
 from wlasso.errors import MemoryGuardError
 from wlasso.model import (
+    SUPPORT_SUM_MAX,
     Circulant,
     Dense,
     SparseSignal,
@@ -20,6 +22,7 @@ from wlasso.model import (
     sample_poisson,
     trial_rng,
 )
+from wlasso.sensing import draw
 
 finite_vecs = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False),
@@ -44,6 +47,29 @@ def brute_correlate(a, b):
         for j in range(p):
             out[k] += a[j] * b[(j + k) % p]
     return out
+
+
+def folded_convolve(a, b):
+    """Linear convolution folded mod p: O(p^2), fast enough at p = 5000."""
+    p = len(a)
+    full = np.convolve(a, b)
+    out = full[:p].copy()
+    out[: p - 1] += full[p:]
+    return out
+
+
+@pytest.fixture()
+def rfft_calls(monkeypatch):
+    """Counts the real FFTs cyclic_convolve takes."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting(x, *args, **kwargs):
+        calls.append(len(x))
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return calls
 
 
 class TestTrialRng:
@@ -166,6 +192,45 @@ class TestCirculantAlgebra:
         b = trial_rng(seed).normal(size=a.size)
         assert np.allclose(cyclic_correlate(a, b), brute_correlate(a, b), atol=1e-9)
 
+    @pytest.mark.parametrize("p", [2, 3, 97, 1000])
+    def test_dense_operands_match_index_formula_on_fft_path(self, p, monkeypatch, rfft_calls):
+        # below SUPPORT_SUM_MAX nonzeros a dense operand would take the support sum
+        monkeypatch.setattr(wlasso.model, "SUPPORT_SUM_MAX", min(SUPPORT_SUM_MAX, p - 1))
+        rng = trial_rng(p)
+        a, b = rng.normal(size=p), rng.normal(size=p)
+        assert np.allclose(cyclic_convolve(a, b), brute_convolve(a, b), atol=1e-9)
+        assert np.allclose(cyclic_correlate(a, b), brute_correlate(a, b), atol=1e-9)
+        assert rfft_calls == [p] * 4
+
+    @pytest.mark.parametrize("nnz, fft", [(SUPPORT_SUM_MAX, False), (SUPPORT_SUM_MAX + 1, True)])
+    def test_support_sum_up_to_max_nonzeros(self, nnz, fft, rfft_calls):
+        p = 5000
+        rng = trial_rng(nnz)
+        dense = rng.random(p)
+        dense[rng.choice(p, size=p // 2, replace=False)] = 0.0
+        sparse = np.zeros(p)
+        sparse[rng.choice(p, size=nnz, replace=False)] = rng.integers(1, 4, size=nnz)
+        for a, b in ((dense, sparse), (sparse, dense)):
+            out = cyclic_convolve(a, b)
+            assert np.allclose(out, folded_convolve(a, b), atol=1e-9)
+        assert bool(rfft_calls) is fft
+        if not fft:
+            # exact: nonnegative operands, exact zeros where no shift meets the support
+            assert np.all(out >= 0)
+            assert np.array_equal(out == 0, folded_convolve(1.0 * (a > 0), 1.0 * (b > 0)) == 0)
+
+    def test_exact_product_sums_over_any_support(self, rfft_calls):
+        p, nnz = 5000, 3 * SUPPORT_SUM_MAX
+        rng = trial_rng(3)
+        a, b = np.zeros(p), np.zeros(p)
+        a[rng.choice(p, size=nnz, replace=False)] = rng.integers(1, 4, size=nnz)
+        b[rng.choice(p, size=nnz, replace=False)] = rng.random(nnz)
+        out = cyclic_convolve(a, b, exact=True)
+        assert rfft_calls == []
+        assert np.allclose(out, folded_convolve(a, b), atol=1e-9)
+        assert np.all(out >= 0)
+        assert np.array_equal(out == 0, folded_convolve(1.0 * (a > 0), 1.0 * (b > 0)) == 0)
+
     def test_materialize_index_rule(self):
         c = trial_rng(2).normal(size=7)
         op = Circulant(c)
@@ -194,6 +259,25 @@ class TestCirculantAlgebra:
         op = Circulant(np.ones(100))
         with pytest.raises(MemoryGuardError):
             op.materialize(max_p=50)
+
+
+class TestForwardIntensity:
+    @pytest.mark.parametrize("s, m", [(50, 40), (100, 100)])
+    def test_convolution_intensity_is_exact_at_scale(self, s, m):
+        # FFT round-off alone makes this intensity negative in most draws; at
+        # s = m = 100 both operands have more than SUPPORT_SUM_MAX nonzeros
+        for seed in range(20):
+            noisy = draw("convolution", 5000, s, 100.0, trial_rng(seed), m=m, n=0, q=0.5)
+            assert np.all(noisy.y >= 0)
+            inst, intensity, x_star, _ = draw(
+                "convolution", 5000, s, 100.0, trial_rng(seed), m=m, n=0, q=0.5,
+                noiseless=True,
+            )
+            met = np.zeros(5000, dtype=bool)
+            for k in np.flatnonzero(x_star):
+                met |= np.roll(inst.counts > 0, k)
+            assert np.all(intensity[met] > 0)
+            assert np.all(intensity[~met] == 0)
 
 
 class TestOperatorValidation:
