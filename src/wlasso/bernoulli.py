@@ -20,6 +20,7 @@ import numpy as np
 
 from .concentration import (
     bernstein_bound,
+    check_theta,
     empirical_deviation_bound,
     variance_envelope,
 )
@@ -53,15 +54,25 @@ class BernoulliInstance:
             raise ValueError("column_sums must have length p")
 
 
-def sample_bernoulli_matrix(
-    n: int, p: int, q: float, rng: np.random.Generator
-) -> BernoulliInstance:
+def check_design(n: int, p: int, q: float) -> None:
     if n < 2:
         raise ParameterError("n", "must be >= 2", n)
     if p < 1:
         raise ParameterError("p", "must be >= 1", p)
     if not 0.0 < q < 1.0:
         raise ParameterError("q", "must lie in (0, 1)", q)
+
+
+def check_c(c: float) -> None:
+    """c scales the second-order weight term, so it must be finite and >= 0."""
+    if not 0.0 <= c < math.inf:
+        raise ParameterError("c", "must be finite and >= 0", c)
+
+
+def sample_bernoulli_matrix(
+    n: int, p: int, q: float, rng: np.random.Generator
+) -> BernoulliInstance:
+    check_design(n, p, q)
     a = (rng.random((n, p)) < q).astype(np.float64)
     return BernoulliInstance(n=n, p=p, q=q, a=a, column_sums=a.sum(axis=0))
 
@@ -95,8 +106,7 @@ def l1_norm_estimator(inst: BernoulliInstance, y, theta: float | None = None) ->
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (inst.n,):
         raise ValueError("y must have length n")
-    if theta is None:
-        theta = default_theta(inst.p)
+    theta = default_theta(inst.p) if theta is None else check_theta(theta)
     n, q = inst.n, inst.q
     qmax = max(q, 1.0 - q)
     denom = n * q - math.sqrt(2.0 * n * q * (1.0 - q) * theta) - qmax * theta / 3.0
@@ -148,6 +158,7 @@ def constant_weights(
     max_ops: float = 1e9,
 ) -> WeightVector:
     """Single weight from the worst pair statistic W and the mass bound N_hat."""
+    check_c(c)
     if theta is None:
         theta = default_theta(inst.p)
     n_hat = l1_norm_estimator(inst, y, theta)
@@ -162,6 +173,7 @@ def nonconstant_weights(
 ) -> WeightVector:
     """Per-coordinate weights from the observable statistics V_k^T Y with
     V_{k,l} = ((n a_{l,k} - S_k) / (n (n-1) q (1-q)))^2."""
+    check_c(c)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (inst.n,):
         raise ValueError("y must have length n")

@@ -125,14 +125,10 @@ def _instance_from_args(args) -> Draw:
     if args.instance:
         return _load_instance(args.instance, args.q)
     rng = trial_rng(_resolve_seed(args.seed))
-    try:
-        return draw(
-            args.model, args.p, args.s, args.l1, rng,
-            m=args.m, n=args.n, q=args.q, noiseless=args.noiseless,
-        )
-    except ParameterError as exc:
-        flag = "l1" if exc.name == "target_l1" else exc.name
-        raise _UsageError(f"--{flag} {exc.why}, got {exc.value}") from exc
+    return draw(
+        args.model, args.p, args.s, args.l1, rng,
+        m=args.m, n=args.n, q=args.q, noiseless=args.noiseless,
+    )
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -320,6 +316,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (_UsageError, WeightKindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ParameterError as exc:
+        # outside experiment every checked parameter comes from a flag of its name,
+        # except target_l1, which --l1 sets
+        flag = "l1" if exc.name == "target_l1" else exc.name
+        print(f"error: --{flag} {exc.why}, got {exc.value}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary: report and set exit code
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

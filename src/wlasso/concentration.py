@@ -19,15 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 
-def _check_theta(theta: float) -> float:
+
+def check_theta(theta: float) -> float:
     if not np.isfinite(theta) or theta <= 0:
-        raise ValueError("theta must be positive")
+        raise ParameterError("theta", "must be positive and finite", theta)
     return float(theta)
 
 
 def bernstein_bound(v, b, theta):
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     v = np.asarray(v, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if np.any(v < 0) or np.any(b < 0):
@@ -37,7 +39,7 @@ def bernstein_bound(v, b, theta):
 
 
 def variance_envelope(b, r2y, theta):
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     b = np.asarray(b, dtype=np.float64)
     r2y = np.asarray(r2y, dtype=np.float64)
     if np.any(b < 0) or np.any(r2y < 0):
@@ -48,7 +50,7 @@ def variance_envelope(b, r2y, theta):
 
 
 def empirical_deviation_bound(b, r2y, theta):
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     b = np.asarray(b, dtype=np.float64)
     r2y = np.asarray(r2y, dtype=np.float64)
     if np.any(b < 0) or np.any(r2y < 0):
@@ -81,7 +83,7 @@ def tail_coverage_test(
     deviation exceeds (a) the intensity-based Bernstein bound, (b) the
     observable empirical bound, and how often the true v exceeds its envelope.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     r = np.asarray(r, dtype=np.float64)
     lam = np.asarray(intensity, dtype=np.float64)
     if r.shape != lam.shape or r.ndim != 1:

@@ -52,11 +52,15 @@ class ConvolutionInstance:
             raise ValueError("counts must be nonnegative and sum to m")
 
 
-def sample_parents(p: int, m: int, rng: np.random.Generator) -> ConvolutionInstance:
+def check_parents(p: int, m: int) -> None:
     if p < 2:
         raise ParameterError("p", "must be >= 2", p)
     if m < 1:
         raise ParameterError("m", "must be >= 1", m)
+
+
+def sample_parents(p: int, m: int, rng: np.random.Generator) -> ConvolutionInstance:
+    check_parents(p, m)
     parents = rng.integers(0, p, size=m)
     counts = np.bincount(parents, minlength=p)
     return ConvolutionInstance(p=p, m=m, counts=counts, parents=parents)

@@ -17,7 +17,7 @@ from . import bernoulli as _bernoulli
 from . import convolution as _convolution
 from .errors import EnumerationGuardError, MemoryGuardError
 from .model import Circulant, Dense, SurrogatePair, cyclic_correlate, deviation_at_truth
-from .solver import WeightVector
+from .solver import WeightVector, check_gamma
 
 
 def _dense_gram(op: Dense, max_dense_p: int) -> np.ndarray:
@@ -161,8 +161,7 @@ class ErrorBounds:
 def theoretical_l2_bound(
     gamma: float, delta_s0: float, weights: WeightVector, support
 ) -> ErrorBounds:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     if not 0.0 <= delta_s0 < 1.0:
         raise ValueError("need 0 <= delta_s0 < 1")
     support = np.asarray(support, dtype=np.int64)
@@ -308,6 +307,7 @@ def assumption_report(
     rip_s: Optional[int] = None,
     max_supports: int = 1_000_000,
 ) -> AssumptionReport:
+    check_gamma(gamma)
     x_star = np.asarray(x_star, dtype=np.float64)
     xi = gram_deviation(pair.a_tilde)
     support = np.flatnonzero(x_star)

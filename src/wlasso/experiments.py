@@ -1,25 +1,31 @@
 """Monte Carlo MSE harness: seeded trials, gamma tuning, CSV output.
 
-Every trial is a pure function of (master_seed, trial_index): signal draw,
-sensing draw, Poisson draw, then each requested estimator.  Tuning uses a
-disjoint block of trial indices so evaluation trials never leak into the
-gamma choice.  Aggregation folds results in trial-index order, so thread
-counts and completion order cannot change a single output byte.
+Every trial is a pure function of (master_seed, trial_index): one signal
+draw, sensing draw and Poisson draw, one set of weights, then each requested
+estimator at every requested gamma, each gamma solved from a cold start.
+Tuning runs each trial of a disjoint block of indices once over the whole
+gamma grid, so evaluation trials never leak into the gamma choice; evaluation
+then runs each trial once over the tuned gammas.  A sweep runs every trial on
+one process pool (none at one thread).  Aggregation folds results in
+trial-index order, so thread counts and completion order cannot change a
+single output byte.
 """
 from __future__ import annotations
 
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, ParameterError
 from .model import trial_rng
-from .sensing import MODELS, WEIGHT_KINDS, draw, surrogate, weights
+from .sensing import MODELS, WEIGHT_KINDS, check_params, draw, surrogate, weights
 from .solver import SolverConfig, two_step, weighted_lasso, oracle_least_squares
 from .diagnostics import weights_cover
 
@@ -92,11 +98,34 @@ class ExperimentConfig:
             raise ValueError("wlasso_two_step needs nonconstant or oracle weights")
         if self.m_coef <= 0:
             raise ValueError("m_coef must be positive")
+        self._check_ranges()
+
+    def _check_ranges(self) -> None:
+        """Reject, naming the key, what a solve at some gamma or a draw at some point would."""
+        points = [(self.p, m, {"m": "m_grid"}) for m in self.m_grid]
+        points += [(p, _m_at(self, p), {"p": "p_grid", "m": "p_grid"}) for p in self.p_grid]
+        renamed: dict = {}
+        try:
+            for gamma in self.gamma_grid:
+                _solver_config(self, gamma)
+            for p, m, renamed in points:
+                check_params(
+                    self.model, p, self.s, self.target_l1,
+                    m=m, n=self.n, q=self.q, c=self.weight_c,
+                )
+        except ParameterError as exc:
+            key = {"gamma": "gamma_grid", "c": "weight_c", **renamed}.get(exc.name, exc.name)
+            raise ValueError(str(exc) if key == exc.name else f"{key}: {exc}") from exc
 
 
 def m_from_p(p: int, m_coef: float) -> int:
     """Parent-count rule m = round(m_coef * sqrt(p) * log p) for p sweeps."""
     return int(round(m_coef * math.sqrt(p) * math.log(p)))
+
+
+def _m_at(cfg: ExperimentConfig, p: int) -> int:
+    """The parent count of the p sweep's point at p; Bernoulli has none."""
+    return m_from_p(p, cfg.m_coef) if cfg.model == "convolution" else 0
 
 
 @dataclass(frozen=True)
@@ -128,30 +157,27 @@ def _point(cfg: ExperimentConfig, p: int, m: int) -> TrialPoint:
 
 def estimator_keys(point: TrialPoint) -> list[tuple[str, str]]:
     """(estimator, weight_kind) pairs a point produces, in output order."""
-    keys = []
-    for est in ESTIMATORS:
-        if est not in point.estimators:
-            continue
-        if est == "ls_oracle":
-            keys.append((est, "none"))
-        elif est == "lasso_two_step":
-            keys.append((est, "constant"))
-        else:
-            for kind in ("nonconstant", "oracle"):
-                if kind in point.weight_kinds:
-                    keys.append((est, kind))
-    return keys
+    keys = [("ls_oracle", "none"), ("lasso_two_step", "constant")]
+    keys += [("wlasso_two_step", k) for k in ("nonconstant", "oracle") if k in point.weight_kinds]
+    return [key for key in keys if key[0] in point.estimators]
 
 
 @dataclass
 class TrialOutcome:
+    """nmse and failures keyed by (estimator, weight_kind, gamma); ls_oracle at gamma 0."""
+
     nmse: dict
     coverage: dict
     failures: dict
 
 
-def run_trial(point: TrialPoint, trial_index: int, gamma: float) -> TrialOutcome:
-    """One seeded trial: draw signal/design/counts, run every estimator."""
+def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) -> TrialOutcome:
+    """One seeded trial: one draw, then every estimator at every gamma.
+
+    The draw, the surrogate pair, the weights, their coverage and ls_oracle do
+    not depend on gamma, so each is built once; every gamma is solved from a
+    cold start, so its numbers do not depend on the other gammas.
+    """
     rng = trial_rng(point.master_seed, trial_index)
     inst, y, x_star, support = draw(
         point.model, point.p, point.s, point.target_l1, rng,
@@ -159,71 +185,60 @@ def run_trial(point: TrialPoint, trial_index: int, gamma: float) -> TrialOutcome
     )
     pair = surrogate(inst, y)
 
+    keys = estimator_keys(point)
+    built: dict = {}
+    coverage: dict = {}
+    for kind in dict.fromkeys(k for _, k in keys if k != "none"):
+        try:
+            built[kind] = weights(kind, inst, pair, y, x_star, c=point.weight_c)
+            coverage[kind] = weights_cover(pair, x_star, built[kind]).passed
+        except Exception as exc:  # noqa: BLE001 - fails each of its cells below
+            built[kind] = exc
+
+    def estimate(est, kind, gamma):
+        if est == "ls_oracle":
+            return oracle_least_squares(pair, support) if support.size else np.zeros(point.p)
+        if isinstance(built[kind], Exception):
+            raise built[kind]
+        result = weighted_lasso(pair, built[kind], _solver_config(point, gamma))
+        if not result.converged:
+            raise NonConvergenceError(result.iterations, result.kkt_residual)
+        return two_step(result.x_hat, pair, point.support_eps)[1]
+
     denom = point.target_l1 if point.target_l1 > 0 else 1.0
     nmse: dict = {}
-    coverage: dict = {}
     failures: dict = {}
-
-    weights_by_kind = {}
-    for kind in dict.fromkeys(k for _, k in estimator_keys(point) if k != "none"):
+    cells = [k + (0.0,) for k in keys if k[0] == "ls_oracle"]
+    cells += [k + (gamma,) for gamma in gammas for k in keys if k[0] != "ls_oracle"]
+    for cell in cells:
         try:
-            weights_by_kind[kind] = weights(kind, inst, pair, y, x_star, c=point.weight_c)
+            err = estimate(*cell) - x_star
+            nmse[cell] = float(err @ err) / denom
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
-            failures[("weights", kind)] = f"{type(exc).__name__}: {exc}"
-
-    for kind, w in weights_by_kind.items():
-        coverage[kind] = weights_cover(pair, x_star, w).passed
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        config = SolverConfig(
-            gamma=gamma,
-            tol_kkt=point.tol_kkt,
-            max_iter=point.max_iter,
-            support_eps=point.support_eps,
-        )
-
-    for est, kind in estimator_keys(point):
-        try:
-            if est == "ls_oracle":
-                if support.size == 0:
-                    x_hat = np.zeros(point.p)
-                else:
-                    x_hat = oracle_least_squares(pair, support)
-            else:
-                if kind not in weights_by_kind:
-                    raise RuntimeError(failures.get(("weights", kind), "no weights"))
-                result = weighted_lasso(pair, weights_by_kind[kind], config)
-                if not result.converged:
-                    raise NonConvergenceError(result.iterations, result.kkt_residual)
-                _, x_hat = two_step(result.x_hat, pair, point.support_eps)
-            err = x_hat - x_star
-            nmse[(est, kind)] = float(err @ err) / denom
-        except Exception as exc:  # noqa: BLE001
-            failures[(est, kind)] = f"{type(exc).__name__}: {exc}"
-
+            failures[cell] = f"{type(exc).__name__}: {exc}"
     return TrialOutcome(nmse=nmse, coverage=coverage, failures=failures)
 
 
-def _trial_task(args):
-    point, index, gamma = args
-    return index, run_trial(point, index, gamma)
+def _solver_config(settings, gamma: float) -> SolverConfig:
+    """The solve settings of a config or point at gamma; gamma <= 2 does not warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return SolverConfig(
+            gamma=gamma,
+            tol_kkt=settings.tol_kkt,
+            max_iter=settings.max_iter,
+            support_eps=settings.support_eps,
+        )
 
 
-def _map_trials(point, indices, gamma, threads):
-    tasks = [(point, i, gamma) for i in indices]
-    if threads == 1 or len(tasks) <= 1:
-        results = map(_trial_task, tasks)
-    else:
-        workers = os.cpu_count() or 1 if threads == 0 else threads
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_task, tasks, chunksize=chunk))
-    return {i: out for i, out in results}
+def _map_trials(point, indices, gammas, pool) -> list[TrialOutcome]:
+    """run_trial at each index over the gammas, in index order, serially or on the pool."""
+    args = (repeat(point), indices, repeat(gammas))
+    return list(map(run_trial, *args) if pool is None else pool.map(run_trial, *args))
 
 
 def tune_gamma(
-    cfg: ExperimentConfig, point: TrialPoint, threads: int = 1
+    cfg: ExperimentConfig, point: TrialPoint, pool: Optional[Executor] = None
 ) -> dict[tuple[str, str], Optional[float]]:
     """Pick gamma per estimator on a disjoint tuning block; ties go small.
 
@@ -238,14 +253,15 @@ def tune_gamma(
         for key in keys:
             out[key] = cfg.gamma_grid[0]
         return out
-    indices = [TUNE_INDEX_BASE + j for j in range(cfg.tune_trials)]
-    by_gamma = [_map_trials(point, indices, gamma, threads) for gamma in cfg.gamma_grid]
+    indices = range(TUNE_INDEX_BASE, TUNE_INDEX_BASE + cfg.tune_trials)
+    outcomes = _map_trials(point, indices, cfg.gamma_grid, pool)
     for key in keys:
-        common = [i for i in indices if all(key in outcomes[i].nmse for outcomes in by_gamma)]
+        cells = [key + (gamma,) for gamma in cfg.gamma_grid]
+        common = [o for o in outcomes if all(c in o.nmse for c in cells)]
         if not common:
             out[key] = None
             continue
-        means = [np.mean([outcomes[i].nmse[key] for i in common]) for outcomes in by_gamma]
+        means = [np.mean([o.nmse[c] for o in common]) for c in cells]
         out[key] = cfg.gamma_grid[int(np.argmin(means))]
     return out
 
@@ -270,35 +286,24 @@ class ExperimentRow:
 
 
 def run_point(
-    cfg: ExperimentConfig, point: TrialPoint, threads: int = 1
+    cfg: ExperimentConfig, point: TrialPoint, pool: Optional[Executor] = None
 ) -> list[ExperimentRow]:
-    gamma_star = tune_gamma(cfg, point, threads)
+    gamma_star = tune_gamma(cfg, point, pool)
     keys = estimator_keys(point)
-    eval_gammas = sorted(
-        {gamma_star[k] for k in keys if k[0] != "ls_oracle" and gamma_star[k] is not None}
-    )
-    if not eval_gammas:
-        eval_gammas = [cfg.gamma_grid[0]]
-    indices = list(range(cfg.trials))
-    outcomes_by_gamma = {
-        g: _map_trials(point, indices, g, threads) for g in eval_gammas
-    }
+    gammas = tuple(sorted(
+        {g for k, g in gamma_star.items() if k[0] != "ls_oracle" and g is not None}
+    ))
+    outcomes = _map_trials(point, range(cfg.trials), gammas, pool)
 
     convolution = point.model == "convolution"
     rows = []
-    for key in keys:
-        est, kind = key
-        g_star = gamma_star.get(key, 0.0)
-        # an untuned estimator has no gamma to run at, so every trial counts as failed
-        source = outcomes_by_gamma.get(eval_gammas[0] if est == "ls_oracle" else g_star, {})
-        vals, covered, failures = [], [], 0
-        for i in indices:
-            o = source.get(i)
-            if o is not None and key in o.nmse:
-                vals.append(o.nmse[key])
-                covered.append(True if kind == "none" else o.coverage.get(kind, False))
-            else:
-                failures += 1
+    for est, kind in keys:
+        g_star = gamma_star[(est, kind)]
+        # an untuned estimator (g_star None) has no cell, so every trial counts as failed
+        cell = (est, kind, g_star)
+        done = [o for o in outcomes if cell in o.nmse]
+        vals = [o.nmse[cell] for o in done]
+        covered = [True if kind == "none" else o.coverage.get(kind, False) for o in done]
         if vals:
             mean = float(np.mean(vals))
             stderr = (
@@ -321,7 +326,7 @@ def run_point(
                 weight_kind=kind,
                 gamma_star=g_star,
                 trials=cfg.trials,
-                failures=failures,
+                failures=cfg.trials - len(vals),
                 nmse_mean=mean,
                 nmse_stderr=stderr,
                 coverage_rate=cov,
@@ -331,30 +336,25 @@ def run_point(
     return rows
 
 
-def _check_threads(threads: int) -> None:
+def _sweep(cfg: ExperimentConfig, points, threads: int) -> list[ExperimentRow]:
+    """Rows of every point in order, on one process pool (none at threads = 1)."""
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
+    workers = threads or os.cpu_count() or 1
+    with nullcontext() if threads == 1 else ProcessPoolExecutor(workers) as pool:
+        return [row for point in points for row in run_point(cfg, point, pool)]
 
 
 def run_mse_vs_m(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
     """Error-versus-parents sweep; rows appear in increasing m."""
-    _check_threads(threads)
     if cfg.model != "convolution":
         raise ValueError("the m sweep is defined for the convolution model")
-    rows = []
-    for m in cfg.m_grid:
-        rows.extend(run_point(cfg, _point(cfg, cfg.p, m), threads))
-    return rows
+    return _sweep(cfg, [_point(cfg, cfg.p, m) for m in cfg.m_grid], threads)
 
 
 def run_mse_vs_p(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
     """Error-versus-dimension sweep; convolution derives m from the m rule."""
-    _check_threads(threads)
-    rows = []
-    for p in cfg.p_grid:
-        m = m_from_p(p, cfg.m_coef) if cfg.model == "convolution" else 0
-        rows.extend(run_point(cfg, _point(cfg, p, m), threads))
-    return rows
+    return _sweep(cfg, [_point(cfg, p, _m_at(cfg, p)) for p in cfg.p_grid], threads)
 
 
 def _fmt_float(x: Optional[float]) -> str:

@@ -73,6 +73,17 @@ class SparseSignal:
         return x
 
 
+def check_signal(p: int, s: int, target_l1: float) -> None:
+    """Raise the ParameterError make_sparse_signal would raise for s and target_l1."""
+    if not 0 <= s <= p:
+        raise ParameterError("s", f"must lie in [0, p = {p}]", s)
+    if s == 0:
+        if target_l1 != 0:
+            raise ParameterError("target_l1", "must be 0 when s is 0", target_l1)
+    elif not 0 < target_l1 < math.inf:
+        raise ParameterError("target_l1", "must be positive and finite when s > 0", target_l1)
+
+
 def make_sparse_signal(
     p: int, s: int, target_l1: float, rng: np.random.Generator
 ) -> SparseSignal:
@@ -82,14 +93,9 @@ def make_sparse_signal(
     they sum to target_l1; the spread keeps both large and near-threshold
     coordinates present in every draw.
     """
-    if not 0 <= s <= p:
-        raise ParameterError("s", f"must lie in [0, p = {p}]", s)
+    check_signal(p, s, target_l1)
     if s == 0:
-        if target_l1 != 0:
-            raise ParameterError("target_l1", "must be 0 when s is 0", target_l1)
         return SparseSignal(p, np.empty(0, np.int64), np.empty(0), 0.0)
-    if not 0 < target_l1 < math.inf:
-        raise ParameterError("target_l1", "must be positive and finite when s > 0", target_l1)
     support = np.sort(rng.choice(p, size=s, replace=False))
     raw = np.exp(-np.arange(s) / s) + 0.2
     values = raw * (target_l1 / raw.sum())

@@ -14,7 +14,9 @@ import numpy as np
 from . import bernoulli as _bernoulli
 from . import convolution as _convolution
 from .errors import WeightKindError
-from .model import SurrogatePair, apply, deviation_at_truth, make_sparse_signal, sample_poisson
+from .model import (
+    SurrogatePair, apply, check_signal, deviation_at_truth, make_sparse_signal, sample_poisson,
+)
 from .solver import WeightVector
 
 MODELS = ("convolution", "bernoulli")
@@ -48,6 +50,21 @@ def draw(
     intensity = apply(_module(inst).sensing_operator(inst), x_star, exact=True)
     y = intensity if noiseless else sample_poisson(intensity, rng).counts.astype(np.float64)
     return Draw(inst, y, x_star, signal.support)
+
+
+def check_params(
+    model: str, p: int, s: int, target_l1: float, *, m: int, n: int, q: float, c: float,
+) -> None:
+    """Raise a ParameterError if draw, or the weights at c, would raise one; draws nothing.
+
+    The design is checked first, so a p too small is named p, not s.
+    """
+    if model == "convolution":
+        _convolution.check_parents(p, m)
+    else:
+        _bernoulli.check_design(n, p, q)
+        _bernoulli.check_c(c)
+    check_signal(p, s, target_l1)
 
 
 def surrogate(inst, y) -> SurrogatePair:

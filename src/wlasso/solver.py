@@ -13,8 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateColumnError, SingularDesignError
+from .errors import DegenerateColumnError, ParameterError, SingularDesignError
 from .model import Circulant, Dense, SurrogatePair, apply, apply_adjoint, cyclic_convolve
+
+
+def check_gamma(gamma: float) -> None:
+    if not np.isfinite(gamma) or gamma <= 0:
+        raise ParameterError("gamma", "must be positive and finite", gamma)
 
 
 @dataclass
@@ -22,14 +27,12 @@ class SolverConfig:
     """gamma > 2 is what the guarantees need; smaller values only warn."""
 
     gamma: float
-    tol_coord: Optional[float] = None
     tol_kkt: float = 1e-8
     max_iter: int = 10_000
     support_eps: float = 1e-9
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        check_gamma(self.gamma)
         if self.gamma <= 2:
             warnings.warn(
                 f"gamma = {self.gamma} is outside the gamma > 2 regime the "
@@ -37,14 +40,12 @@ class SolverConfig:
                 UserWarning,
                 stacklevel=2,
             )
-        if self.tol_coord is not None and self.tol_coord <= 0:
-            raise ValueError("tol_coord must be positive")
-        if self.tol_kkt <= 0:
-            raise ValueError("tol_kkt must be positive")
+        if not self.tol_kkt > 0:
+            raise ParameterError("tol_kkt", "must be positive", self.tol_kkt)
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.support_eps < 0:
-            raise ValueError("support_eps must be >= 0")
+            raise ParameterError("max_iter", "must be >= 1", self.max_iter)
+        if not self.support_eps >= 0:
+            raise ParameterError("support_eps", "must be >= 0", self.support_eps)
 
 
 @dataclass(eq=False)
@@ -144,9 +145,9 @@ def weighted_lasso(
 ) -> SolveResult:
     """Minimize the weighted LASSO objective by cyclic coordinate descent.
 
-    Stops once a full sweep moves no coordinate by tol_coord or more AND the
-    stationarity residual (recomputed from scratch, not from the running
-    state) is below tol_kkt.  Coefficients may take either sign.
+    Stops once a full sweep moves no coordinate by 1e-9 * (1 + max|y_tilde|)
+    or more AND the stationarity residual (recomputed from scratch, not from
+    the running state) is below tol_kkt.  Coefficients may take either sign.
     """
     op = pair.a_tilde
     p = op.n_cols
@@ -160,9 +161,7 @@ def weighted_lasso(
             raise ValueError("x0 must be a finite vector of length p")
 
     thresholds = config.gamma * weights.values / 2.0
-    tol_coord = config.tol_coord
-    if tol_coord is None:
-        tol_coord = 1e-9 * (1.0 + float(np.abs(pair.y_tilde).max(initial=0.0)))
+    tol_coord = 1e-9 * (1.0 + float(np.abs(pair.y_tilde).max(initial=0.0)))
 
     if isinstance(op, Circulant):
         iterations, converged = _descend_circulant(

@@ -199,8 +199,18 @@ class TestInstanceFlags:
         (["solve", "--s", "0"], "--l1"),
         (["diagnose", "--l1", "-5"], "--l1"),
         (["diagnose", "--l1", "inf"], "--l1"),
+        (["weights", "--model", "bernoulli", "--theta", "-1"], "--theta"),
+        (["weights", "--theta", "0"], "--theta"),
+        (["solve", "--gamma", "-1"], "--gamma"),
+        (["solve", "--gamma", "nan"], "--gamma"),
+        (["diagnose", "--gamma", "-1"], "--gamma"),
+        (["weights", "--model", "bernoulli", "--c", "-5"], "--c"),
+        (["solve", "--model", "bernoulli", "--weights", "constant", "--c", "-5"], "--c"),
+        (["diagnose", "--model", "bernoulli", "--c", "nan"], "--c"),
     ], ids=["q-outside", "n-small", "bernoulli-p-zero", "s-above-p-1", "p-small", "m-zero",
-            "s-above-p", "l1-without-s", "l1-negative", "l1-infinite"])
+            "s-above-p", "l1-without-s", "l1-negative", "l1-infinite", "theta-negative",
+            "theta-zero", "gamma-negative", "gamma-nan", "diagnose-gamma-negative",
+            "c-negative", "solve-c-negative", "c-nan"])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1, err
@@ -298,6 +308,17 @@ SWEEP_CFG = (
     "target_l1 = 20\n"
     "master_seed = 9\n"
 )
+P_SWEEP_CFG = SWEEP_CFG.replace("m_grid = 6\n", "p_grid = 40, 60\n")
+BERNOULLI_CFG = (
+    "model = bernoulli\n"
+    "p_grid = 10, 20\n"
+    "n = 200\n"
+    "s = 2\n"
+    "trials = 3\n"
+    "tune_trials = 2\n"
+    "gamma_grid = 2.5, 4\n"
+    "target_l1 = 20\n"
+)
 
 
 class TestExperiment:
@@ -393,6 +414,31 @@ class TestExperiment:
         assert code == 1
         assert out == ""
         assert "--threads" in err
+
+    @pytest.mark.parametrize("cfg_text, overrides, key", [
+        (SWEEP_CFG, ["max_iter=0"], "max_iter"),
+        (SWEEP_CFG, ["tol_kkt=0"], "tol_kkt"),
+        (SWEEP_CFG, ["support_eps=-1e-9"], "support_eps"),
+        (SWEEP_CFG, ["s=-1"], "s"),
+        (SWEEP_CFG, ["target_l1=-3"], "target_l1"),
+        (SWEEP_CFG, ["p=1"], "p"),
+        (SWEEP_CFG, ["allow_small_gamma=true", "gamma_grid=-1,4"], "gamma_grid"),
+        (P_SWEEP_CFG, ["p_grid=3", "s=1"], "p_grid"),
+        (BERNOULLI_CFG, ["q=1.5"], "q"),
+        (BERNOULLI_CFG, ["weight_c=-5"], "weight_c"),
+        (BERNOULLI_CFG, ["weight_c=inf"], "weight_c"),
+    ], ids=["max_iter", "tol_kkt", "support_eps", "s", "target_l1", "p", "gamma_grid",
+            "p_grid-m-zero", "q", "weight_c-negative", "weight_c-infinite"])
+    def test_out_of_range_key_is_usage_error(self, cfg_text, overrides, key, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(cfg_text)
+        argv = ["experiment", "--config", str(cfg)]
+        for item in overrides:
+            argv += ["--set", item]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert out == ""
+        assert err.startswith((f"error: {key} ", f"error: {key}: ")), err
 
     def test_missing_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(["experiment"], capsys)

@@ -1,9 +1,12 @@
 """Monte Carlo harness: seeding, tuning, aggregation, CSV stability."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 import wlasso.experiments
+from wlasso.sensing import draw
 from wlasso.experiments import (
     CSV_HEADER,
     TUNE_INDEX_BASE,
@@ -56,6 +59,11 @@ def conv_point(cfg, m=None):
         max_iter=cfg.max_iter,
         support_eps=cfg.support_eps,
     )
+
+
+def cells(point, gamma):
+    """The outcome keys of a run at one gamma: ls_oracle sits at gamma 0."""
+    return [key + (0.0 if key[0] == "ls_oracle" else gamma,) for key in estimator_keys(point)]
 
 
 class TestConfig:
@@ -122,8 +130,8 @@ class TestRunTrial:
     def test_deterministic(self):
         cfg = conv_config()
         point = conv_point(cfg)
-        a = run_trial(point, 2, 4.0)
-        b = run_trial(point, 2, 4.0)
+        a = run_trial(point, 2, (4.0,))
+        b = run_trial(point, 2, (4.0,))
         assert a.nmse == b.nmse
         assert a.coverage == b.coverage
         assert a.failures == b.failures
@@ -131,40 +139,55 @@ class TestRunTrial:
     def test_draws_do_not_depend_on_gamma(self):
         cfg = conv_config()
         point = conv_point(cfg)
-        a = run_trial(point, 3, 2.1)
-        b = run_trial(point, 3, 4.0)
-        assert a.nmse[("ls_oracle", "none")] == b.nmse[("ls_oracle", "none")]
+        a = run_trial(point, 3, (2.1,))
+        b = run_trial(point, 3, (4.0,))
+        assert a.nmse[("ls_oracle", "none", 0.0)] == b.nmse[("ls_oracle", "none", 0.0)]
 
     def test_zero_signal_zero_error(self):
         cfg = conv_config(s=0, target_l1=0.0)
         point = conv_point(cfg)
-        out = run_trial(point, 0, 4.0)
+        out = run_trial(point, 0, (4.0,))
         assert out.failures == {}
-        for key in estimator_keys(point):
+        for key in cells(point, 4.0):
             assert out.nmse[key] == 0.0
 
     def test_noiseless_oracle_interpolates(self):
         cfg = conv_config(noiseless=True)
-        out = run_trial(conv_point(cfg), 1, 4.0)
-        assert out.nmse[("ls_oracle", "none")] <= 1e-16
+        out = run_trial(conv_point(cfg), 1, (4.0,))
+        assert out.nmse[("ls_oracle", "none", 0.0)] <= 1e-16
 
     def test_bernoulli_trial_runs(self):
         cfg = conv_config(model="bernoulli", p=40, n=300, q=0.5, m_grid=())
-        out = run_trial(conv_point(cfg, m=0), 0, 4.0)
-        assert set(out.nmse) == set(estimator_keys(conv_point(cfg, m=0)))
+        out = run_trial(conv_point(cfg, m=0), 0, (4.0,))
+        assert set(out.nmse) == set(cells(conv_point(cfg, m=0), 4.0))
         assert all(v >= 0 for v in out.nmse.values())
         assert set(out.coverage) == {"constant", "nonconstant"}
 
-
     def test_nonconverged_solve_is_a_failure(self):
         point = conv_point(conv_config(max_iter=1, target_l1=100.0))
-        out = run_trial(point, 0, 4.0)
-        for key in (("lasso_two_step", "constant"), ("wlasso_two_step", "nonconstant")):
+        out = run_trial(point, 0, (4.0,))
+        for key in (("lasso_two_step", "constant", 4.0), ("wlasso_two_step", "nonconstant", 4.0)):
             assert key not in out.nmse
             assert out.failures[key].startswith(
                 "NonConvergenceError: not converged after 1 sweeps (KKT residual "
             )
-        assert ("ls_oracle", "none") in out.nmse
+        assert ("ls_oracle", "none", 0.0) in out.nmse
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_gammas_share_one_draw(self, model):
+        # one run over two gammas gives exactly what a run at each gamma gives
+        if model == "convolution":
+            point = conv_point(conv_config(weight_kinds=("constant", "nonconstant", "oracle")))
+        else:
+            cfg = conv_config(model="bernoulli", p=40, n=300, q=0.5, m_grid=())
+            point = conv_point(cfg, m=0)
+        for i in range(3):
+            both = run_trial(point, i, (2.1, 4.0))
+            low, high = run_trial(point, i, (2.1,)), run_trial(point, i, (4.0,))
+            assert both.nmse == {**low.nmse, **high.nmse}
+            assert both.failures == {**low.failures, **high.failures}
+            assert both.coverage == low.coverage == high.coverage
+            assert set(both.nmse) | set(both.failures) == set(cells(point, 2.1) + cells(point, 4.0))
 
 
 class TestTuneGamma:
@@ -200,11 +223,12 @@ class TestTuneGamma:
         key = ("lasso_two_step", "constant")
         nmse = {2.1: (1.0, 100.0), 4.0: (2.0, None)}
 
-        def fake_map(point, indices, gamma, threads):
-            return {
-                i: TrialOutcome({key: v} if v is not None else {}, {}, {})
-                for i, v in zip(indices, nmse[gamma])
-            }
+        def fake_map(point, indices, gammas, pool):
+            return [
+                TrialOutcome({key + (g,): nmse[g][j] for g in gammas if nmse[g][j] is not None},
+                             {}, {})
+                for j, _ in enumerate(indices)
+            ]
 
         monkeypatch.setattr(wlasso.experiments, "_map_trials", fake_map)
         cfg = conv_config(tune_trials=2, estimators=("lasso_two_step",),
@@ -239,13 +263,8 @@ class TestTuneGamma:
             )
             point = conv_point(cfg, m=30)
             first = tune_gamma(cfg, point)[key]
-            means = []
-            for gamma in grid:
-                vals = [
-                    run_trial(point, TUNE_INDEX_BASE + 100 + j, gamma).nmse[key]
-                    for j in range(100)
-                ]
-                means.append(np.mean(vals))
+            outcomes = [run_trial(point, TUNE_INDEX_BASE + 100 + j, grid) for j in range(100)]
+            means = [np.mean([o.nmse[key + (gamma,)] for o in outcomes]) for gamma in grid]
             second = grid[int(np.argmin(means))]
             selections.extend([first, second])
             if first == second:
@@ -282,6 +301,20 @@ class TestRunPoint:
         for r in rows:
             assert r.m is None and r.q == 0.5 and r.n == 300
 
+    def test_one_draw_per_trial(self, monkeypatch):
+        # tuning draws each of its trials once for the whole grid, and
+        # evaluation each of its trials once for every tuned gamma
+        calls = []
+
+        def counting_draw(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(wlasso.experiments, "draw", counting_draw)
+        cfg = conv_config(gamma_grid=(2.1, 3.0, 4.0))
+        run_point(cfg, conv_point(cfg, m=16))
+        assert len(calls) == cfg.tune_trials + cfg.trials
+
 
 class TestSweeps:
     def test_m_sweep_needs_convolution(self):
@@ -307,6 +340,21 @@ class TestSweeps:
         b = rows_to_csv(run_mse_vs_m(cfg, threads=1))
         c = rows_to_csv(run_mse_vs_m(cfg, threads=2))
         assert a == b == c
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(wlasso.experiments, "ProcessPoolExecutor", CountingPool)
+        cfg = conv_config()
+        serial = rows_to_csv(run_mse_vs_m(cfg, threads=1))
+        assert built == []
+        assert rows_to_csv(run_mse_vs_m(cfg, threads=2)) == serial
+        assert len(built) == 1
 
     def test_nonconverged_solves_counted_in_csv(self):
         # no solve converges in one sweep, so no estimator can be tuned either
@@ -430,9 +478,9 @@ class TestBehavioralComparisons:
         point = conv_point(cfg, m=20)
         wl_wins = 0
         for i in range(cfg.trials):
-            out = run_trial(point, i, 4.0)
-            if out.nmse[("wlasso_two_step", "nonconstant")] <= out.nmse[
-                ("lasso_two_step", "constant")
+            out = run_trial(point, i, (4.0,))
+            if out.nmse[("wlasso_two_step", "nonconstant", 4.0)] <= out.nmse[
+                ("lasso_two_step", "constant", 4.0)
             ]:
                 wl_wins += 1
         assert wl_wins > 100

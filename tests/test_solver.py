@@ -240,8 +240,6 @@ class TestConfigAndWeights:
 
     def test_tolerances_validated(self):
         with pytest.raises(ValueError):
-            SolverConfig(gamma=3.0, tol_coord=0.0)
-        with pytest.raises(ValueError):
             SolverConfig(gamma=3.0, tol_kkt=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(gamma=3.0, max_iter=0)
