@@ -22,7 +22,7 @@ from .config import (
     format_experiment_config,
     parse_config_text,
 )
-from .concentration import tail_coverage_test
+from .concentration import check_theta, tail_coverage_test
 from .diagnostics import assumption_report
 from .errors import ParameterError, WeightKindError
 from .experiments import run_mse_vs_m, run_mse_vs_p, rows_to_csv
@@ -42,6 +42,10 @@ from .solver import SolverConfig, oracle_least_squares, two_step, weighted_lasso
 
 class _UsageError(Exception):
     pass
+
+
+# ParameterError names that differ from the flag that sets them
+_FLAG_OF = {"target_l1": "l1", "n_trials": "trials", "rip_s": "rip-s"}
 
 
 def _env_seed() -> int:
@@ -193,6 +197,8 @@ def _cmd_diagnose(args) -> int:
     inst, y, x_star, _ = _instance_from_args(args)
     if x_star is None:
         raise _UsageError("diagnose needs x_star (generated instances have it)")
+    if args.rip_s is not None and not 1 <= args.rip_s <= inst.p:
+        raise ParameterError("rip_s", f"must lie in [1, p = {inst.p}]", args.rip_s)
     pair = surrogate(inst, y)
     w = weights(args.kind, inst, pair, y, x_star, args.theta, args.c)
     theta = default_theta(inst) if args.theta is None else args.theta
@@ -224,17 +230,20 @@ def _cmd_experiment(args) -> int:
             handle.write(format_experiment_config(cfg))
     if cfg.m_grid and cfg.p_grid:
         raise _UsageError("config sets both m_grid and p_grid; pick one sweep")
-    if cfg.m_grid:
-        rows = run_mse_vs_m(cfg, threads=args.threads)
-    elif cfg.p_grid:
-        rows = run_mse_vs_p(cfg, threads=args.threads)
-    else:
+    if not (cfg.m_grid or cfg.p_grid):
         raise _UsageError("config needs m_grid or p_grid")
+    sweep = run_mse_vs_m if cfg.m_grid else run_mse_vs_p
+    try:
+        rows = sweep(cfg, threads=args.threads)
+    except ParameterError as exc:  # a key the sweep itself rejects, before any trial
+        raise _UsageError(str(exc)) from exc
     _emit(rows_to_csv(rows), args.out)
     return 0
 
 
 def _cmd_concentration_test(args) -> int:
+    if args.n < 1:
+        raise ParameterError("n", "must be >= 1", args.n)
     rng = trial_rng(_resolve_seed(args.seed))
     r = np.ones(args.n)
     intensity = np.full(args.n, args.intensity)
@@ -313,14 +322,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "theta", None) is not None:  # whatever the weight kind reads
+            check_theta(args.theta)
         return args.func(args)
     except (_UsageError, WeightKindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParameterError as exc:
         # outside experiment every checked parameter comes from a flag of its name,
-        # except target_l1, which --l1 sets
-        flag = "l1" if exc.name == "target_l1" else exc.name
+        # except those _FLAG_OF renames
+        flag = _FLAG_OF.get(exc.name, exc.name)
         print(f"error: --{flag} {exc.why}, got {exc.value}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary: report and set exit code

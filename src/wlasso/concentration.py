@@ -88,10 +88,11 @@ def tail_coverage_test(
     lam = np.asarray(intensity, dtype=np.float64)
     if r.shape != lam.shape or r.ndim != 1:
         raise ValueError("r and intensity must be vectors of equal length")
-    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-        raise ValueError("intensity must be nonnegative and finite")
+    bad = ~(np.isfinite(lam) & (lam >= 0))
+    if bad.any():
+        raise ParameterError("intensity", "must be nonnegative and finite", lam[bad][0])
     if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+        raise ParameterError("n_trials", "must be >= 1", n_trials)
 
     r2 = r * r
     v_true = float(r2 @ lam)

@@ -20,38 +20,16 @@ from .model import Circulant, Dense, SurrogatePair, cyclic_correlate, deviation_
 from .solver import WeightVector, check_gamma
 
 
-def _dense_gram(op: Dense, max_dense_p: int) -> np.ndarray:
-    p = op.n_cols
-    if p > max_dense_p:
-        raise MemoryGuardError(f"dense gram for p = {p} exceeds guard {max_dense_p}")
-    return op.dense.T @ op.dense
-
-
-def gram_deviation(op: Circulant | Dense, max_dense_p: int = 4096) -> float:
+def gram_deviation(op: Circulant | Dense) -> float:
     """max |(A^T A - I)_{k,l}|; the one number behind the RE bound below."""
-    if isinstance(op, Circulant):
+    if isinstance(op, Circulant):  # every Gram row is a roll of row 0
         g = op.gram_generator()
-        dev0 = float(abs(g[0] - 1.0))
-        rest = float(np.abs(g[1:]).max(initial=0.0))
-        return max(dev0, rest)
-    gram = _dense_gram(op, max_dense_p)
-    return float(np.abs(gram - np.eye(op.n_cols)).max())
-
-
-def _gram_entry_lookup(op: Circulant | Dense, max_dense_p: int):
-    """entry(j, k) = (A^T A)_{j,k}, elementwise over index arrays."""
-    if isinstance(op, Circulant):
-        g, p = op.gram_generator(), op.n_cols
-        return lambda j, k: g[(j - k) % p]
-    gram = _dense_gram(op, max_dense_p)
-    return lambda j, k: gram[j, k]
+        return max(float(abs(g[0] - 1.0)), float(np.abs(g[1:]).max(initial=0.0)))
+    return float(np.abs(op.gram - np.eye(op.n_cols)).max())
 
 
 def rip_lower_bruteforce(
-    op: Circulant | Dense,
-    s: int,
-    max_supports: int = 1_000_000,
-    max_dense_p: int = 4096,
+    op: Circulant | Dense, s: int, max_supports: int = 1_000_000
 ) -> float:
     """Exact min over |J| = s supports of lambda_min(Gram_J).
 
@@ -66,15 +44,13 @@ def rip_lower_bruteforce(
         raise EnumerationGuardError(
             f"C({p},{s}) = {n_supports} supports exceeds guard {max_supports}"
         )
-    entry = _gram_entry_lookup(op, max_dense_p)
+    gram = op.gram
     if s == 1:
-        diag = entry(np.arange(p), np.arange(p))
-        return float(np.min(diag))
+        return float(np.min(gram.diagonal()))
     best = np.inf
     for support in itertools.combinations(range(p), s):
         idx = np.asarray(support)
-        sub = entry(idx[:, None], idx[None, :])
-        lam = np.linalg.eigvalsh(sub)[0]
+        lam = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])[0]
         if lam < best:
             best = float(lam)
     return best

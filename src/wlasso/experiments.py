@@ -348,7 +348,7 @@ def _sweep(cfg: ExperimentConfig, points, threads: int) -> list[ExperimentRow]:
 def run_mse_vs_m(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
     """Error-versus-parents sweep; rows appear in increasing m."""
     if cfg.model != "convolution":
-        raise ValueError("the m sweep is defined for the convolution model")
+        raise ParameterError("m_grid", "needs model = convolution", cfg.model)
     return _sweep(cfg, [_point(cfg, cfg.p, m) for m in cfg.m_grid], threads)
 
 

@@ -1,10 +1,12 @@
 """Ground-truth signals, Poisson observations, and the linear operators they share.
 
-Two operator classes share one surface (apply, adjoint, columns, materialize):
-Dense stores the matrix, Circulant only its generator column c, with entry
-(l, k) equal to c[(l - k) mod p].  Callers branch on the class only where the
-algorithm itself differs: the coordinate-descent loop, which runs on the Gram
-generator of a circulant design, and the Gram lookups in diagnostics.
+Two operator classes share one surface (apply, adjoint, columns, materialize,
+gram): Dense stores the matrix, Circulant only its generator column c, with
+entry (l, k) equal to c[(l - k) mod p].  Each owns its Gram matrix A^T A,
+computed once per operator: a zero-copy strided view for a circulant, a p x p
+product, guarded at GRAM_MAX_P columns, for a dense design.  Only
+diagnostics.gram_deviation branches on the class, to read a circulant Gram
+from its generator without allocating p x p floats.
 
 Every circulant product goes through cyclic_convolve (cyclic_correlate reverses
 one operand and calls it).  The DFT diagonalises a circulant matrix, so a dense
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +132,7 @@ def sample_poisson(intensity, rng: np.random.Generator) -> PoissonObservations:
 
 
 SUPPORT_SUM_MAX = 64
+GRAM_MAX_P = 4096
 
 
 def cyclic_convolve(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
@@ -203,6 +207,16 @@ class Circulant:
         """Generator of A^T A, which is circulant too (cyclic autocorrelation)."""
         return cyclic_correlate(self.generator, self.generator)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A^T A as a read-only p x p view whose row k is roll(gram_generator(), k)."""
+        doubled = np.tile(self.gram_generator(), 2)  # roll(g, k) is doubled[p - k : 2p - k]
+        step = doubled.strides[0]
+        return np.lib.stride_tricks.as_strided(
+            doubled[self.n_cols :], shape=(self.n_cols,) * 2, strides=(-step, step),
+            writeable=False,
+        )
+
 
 @dataclass(eq=False)
 class Dense:
@@ -235,6 +249,17 @@ class Dense:
     def materialize(self, max_p: int = 4096) -> np.ndarray:
         """Copy of the stored matrix; nothing new is allocated to guard."""
         return np.array(self.dense)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A^T A, read-only; refused above GRAM_MAX_P columns."""
+        if self.n_cols > GRAM_MAX_P:
+            raise MemoryGuardError(
+                f"dense gram for p = {self.n_cols} exceeds guard {GRAM_MAX_P}"
+            )
+        gram = self.dense.T @ self.dense
+        gram.flags.writeable = False
+        return gram
 
 
 def apply(op: Circulant | Dense, x: np.ndarray, exact: bool = False) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The objective is ||y_tilde - A_tilde x||_2^2 + gamma * sum_k d_k |x_k| (no 1/2
 on the quadratic), so the per-coordinate soft threshold is gamma * d_k / 2.
-Circulant designs get O(p) coordinate updates through the Gram generator; dense
-designs keep a running residual.
+One loop serves both designs: it tracks the score A^T (y - A x) through rows
+of the operator's Gram matrix, O(p) per coordinate update (glmnet's
+covariance updates).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateColumnError, ParameterError, SingularDesignError
-from .model import Circulant, Dense, SurrogatePair, apply, apply_adjoint, cyclic_convolve
+from .model import Circulant, Dense, SurrogatePair, apply, apply_adjoint
 
 
 def check_gamma(gamma: float) -> None:
@@ -163,14 +164,7 @@ def weighted_lasso(
     thresholds = config.gamma * weights.values / 2.0
     tol_coord = 1e-9 * (1.0 + float(np.abs(pair.y_tilde).max(initial=0.0)))
 
-    if isinstance(op, Circulant):
-        iterations, converged = _descend_circulant(
-            op, pair.y_tilde, x, thresholds, tol_coord, config
-        )
-    else:
-        iterations, converged = _descend_dense(
-            op, pair.y_tilde, x, thresholds, tol_coord, config
-        )
+    iterations, converged = _descend(op, pair.y_tilde, x, thresholds, tol_coord, config)
 
     final_score = _fresh_score(op, pair.y_tilde, x)
     kkt = _kkt_from_score(final_score, x, thresholds)
@@ -183,29 +177,28 @@ def weighted_lasso(
     )
 
 
-def _descend_circulant(op, y, x, thresholds, tol_coord, config):
+def _descend(op, y, x, thresholds, tol_coord, config):
     """CD sweeps tracking the score h = A^T (y - A x); O(p) per coordinate."""
-    p = x.size
-    gram = op.gram_generator()
-    g0 = gram[0]
-    if g0 <= 0.0:
-        raise DegenerateColumnError(0)
-    gram_ext = np.concatenate([gram, gram])
-    h = op.adjoint(y)
-    if x.any():
-        h -= cyclic_convolve(gram, x)
+    gram = op.gram
+    diag = gram.diagonal()
+    degenerate = np.flatnonzero(diag <= 0.0)
+    if degenerate.size:
+        raise DegenerateColumnError(int(degenerate[0]))
+    # python floats: indexing a numpy array per coordinate costs more than the update
+    diag, limits = diag.tolist(), thresholds.tolist()
+    h = _fresh_score(op, y, x)
 
     iterations = 0
     for _ in range(config.max_iter):
         delta_max = 0.0
-        for k in range(p):
+        for k in range(x.size):
             xk = x[k]
-            z = h[k] + g0 * xk
-            xk_new = soft_threshold(z, thresholds[k]) / g0
+            z = h[k] + diag[k] * xk
+            xk_new = soft_threshold(z, limits[k]) / diag[k]
             delta = xk_new - xk
             if delta != 0.0:
                 x[k] = xk_new
-                h -= delta * gram_ext[p - k : 2 * p - k]
+                h -= delta * gram[k]
                 delta = abs(delta)
                 if delta > delta_max:
                     delta_max = delta
@@ -215,39 +208,6 @@ def _descend_circulant(op, y, x, thresholds, tol_coord, config):
             h = _fresh_score(op, y, x)
             if _kkt_from_score(h, x, thresholds) < config.tol_kkt:
                 return iterations, True
-    return iterations, False
-
-
-def _descend_dense(op, y, x, thresholds, tol_coord, config):
-    """CD sweeps tracking the residual r = y - A x; O(n) per coordinate."""
-    p = x.size
-    a = np.asfortranarray(op.dense)
-    norms_sq = np.einsum("ij,ij->j", a, a)
-    zero_cols = np.flatnonzero(norms_sq == 0.0)
-    if zero_cols.size:
-        raise DegenerateColumnError(int(zero_cols[0]))
-    r = y - a @ x if x.any() else y.copy()
-
-    iterations = 0
-    for _ in range(config.max_iter):
-        delta_max = 0.0
-        for k in range(p):
-            col = a[:, k]
-            xk = x[k]
-            z = col @ r + norms_sq[k] * xk
-            xk_new = soft_threshold(z, thresholds[k]) / norms_sq[k]
-            delta = xk_new - xk
-            if delta != 0.0:
-                x[k] = xk_new
-                r -= delta * col
-                delta = abs(delta)
-                if delta > delta_max:
-                    delta_max = delta
-        iterations += 1
-        if delta_max < tol_coord:
-            if _kkt_from_score(_fresh_score(op, y, x), x, thresholds) < config.tol_kkt:
-                return iterations, True
-            r = y - a @ x
     return iterations, False
 
 
@@ -264,10 +224,9 @@ def oracle_least_squares(
     if support.min() < 0 or support.max() >= p:
         raise ValueError("support indices out of range")
     cols = pair.a_tilde.columns(support)
-    sings = np.linalg.svd(cols, compute_uv=False)
+    coef, _, _, sings = np.linalg.lstsq(cols, pair.y_tilde, rcond=None)
     if sings[-1] <= rank_tol * sings[0]:
         raise SingularDesignError(float(sings[-1]), float(sings[0]))
-    coef, *_ = np.linalg.lstsq(cols, pair.y_tilde, rcond=None)
     x = np.zeros(p)
     x[support] = coef
     return x

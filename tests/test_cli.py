@@ -207,10 +207,20 @@ class TestInstanceFlags:
         (["weights", "--model", "bernoulli", "--c", "-5"], "--c"),
         (["solve", "--model", "bernoulli", "--weights", "constant", "--c", "-5"], "--c"),
         (["diagnose", "--model", "bernoulli", "--c", "nan"], "--c"),
+        (["diagnose", "--kind", "oracle", "--theta", "-1"], "--theta"),
+        (["solve", "--weights", "oracle", "--theta", "-1"], "--theta"),
+        (["concentration-test", "--trials", "0"], "--trials"),
+        (["concentration-test", "--intensity", "-1"], "--intensity"),
+        (["concentration-test", "--intensity", "nan"], "--intensity"),
+        (["concentration-test", "--n", "0"], "--n"),
+        (["diagnose", "--rip-s", "0"], "--rip-s"),
+        (["diagnose", "--rip-s", "300"], "--rip-s"),
     ], ids=["q-outside", "n-small", "bernoulli-p-zero", "s-above-p-1", "p-small", "m-zero",
             "s-above-p", "l1-without-s", "l1-negative", "l1-infinite", "theta-negative",
             "theta-zero", "gamma-negative", "gamma-nan", "diagnose-gamma-negative",
-            "c-negative", "solve-c-negative", "c-nan"])
+            "c-negative", "solve-c-negative", "c-nan", "diagnose-oracle-theta",
+            "solve-oracle-theta", "trials-zero", "intensity-negative", "intensity-nan",
+            "conc-n-zero", "rip-s-zero", "rip-s-above-p"])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1, err
@@ -427,8 +437,10 @@ class TestExperiment:
         (BERNOULLI_CFG, ["q=1.5"], "q"),
         (BERNOULLI_CFG, ["weight_c=-5"], "weight_c"),
         (BERNOULLI_CFG, ["weight_c=inf"], "weight_c"),
+        (BERNOULLI_CFG, ["p_grid=", "m_grid=10"], "m_grid"),
     ], ids=["max_iter", "tol_kkt", "support_eps", "s", "target_l1", "p", "gamma_grid",
-            "p_grid-m-zero", "q", "weight_c-negative", "weight_c-infinite"])
+            "p_grid-m-zero", "q", "weight_c-negative", "weight_c-infinite",
+            "m_grid-bernoulli"])
     def test_out_of_range_key_is_usage_error(self, cfg_text, overrides, key, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(cfg_text)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import wlasso.model
 from wlasso.convolution import (
     ConvolutionInstance,
     sample_parents,
@@ -56,10 +57,11 @@ class TestGramDeviation:
         dense = Dense(op.materialize())
         assert gram_deviation(op) == pytest.approx(gram_deviation(dense), abs=1e-12)
 
-    def test_dense_guard(self):
+    def test_dense_guard(self, monkeypatch):
+        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 5)
         op = Dense(np.ones((2, 10)))
         with pytest.raises(MemoryGuardError):
-            gram_deviation(op, max_dense_p=5)
+            gram_deviation(op)
 
     def test_convolution_rate_envelope(self):
         # xi_hat <= 5 (log p / sqrt(p) + log^2 p / m) on at least 95% of trials

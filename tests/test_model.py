@@ -261,6 +261,23 @@ class TestCirculantAlgebra:
             op.materialize(max_p=50)
 
 
+class TestGram:
+    @pytest.mark.parametrize("p", [2, 3, 97])
+    def test_equals_materialized_product(self, p):
+        rng = trial_rng(p)
+        circ = Circulant(rng.normal(size=p))
+        mat = circ.materialize()
+        assert np.allclose(circ.gram, mat.T @ mat, atol=1e-12)
+        tall = rng.normal(size=(p + 5, p))
+        assert np.allclose(Dense(tall).gram, tall.T @ tall, atol=1e-12)
+
+    @pytest.mark.parametrize("op", [Circulant(np.arange(1.0, 6.0)), Dense(np.ones((4, 3)))])
+    def test_cached_and_read_only(self, op):
+        assert op.gram is op.gram
+        with pytest.raises(ValueError):
+            op.gram[0, 0] = 1.0
+
+
 class TestForwardIntensity:
     @pytest.mark.parametrize("s, m", [(50, 40), (100, 100)])
     def test_convolution_intensity_is_exact_at_scale(self, s, m):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlasso.errors import DegenerateColumnError, SingularDesignError
+import wlasso.model
+from wlasso.errors import DegenerateColumnError, MemoryGuardError, SingularDesignError
 from wlasso.model import (
     Circulant,
     Dense,
@@ -223,7 +224,20 @@ class TestInvariances:
         mat = rng.normal(size=(10, 6))
         mat[:, 3] = 0.0
         pair = SurrogatePair(Dense(mat), rng.normal(size=10))
-        with pytest.raises(DegenerateColumnError):
+        with pytest.raises(DegenerateColumnError) as exc:
+            weighted_lasso(pair, WeightVector.constant(6, 1.0), SolverConfig(gamma=3.0))
+        assert exc.value.column == 3
+
+    def test_zero_circulant_rejected(self):
+        pair = SurrogatePair(Circulant(np.zeros(5)), np.ones(5))
+        with pytest.raises(DegenerateColumnError) as exc:
+            weighted_lasso(pair, WeightVector.constant(5, 1.0), SolverConfig(gamma=3.0))
+        assert exc.value.column == 0
+
+    def test_dense_gram_guard(self, monkeypatch):
+        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 5)
+        pair = random_dense_pair(26, n=10, p=6)
+        with pytest.raises(MemoryGuardError, match="p = 6"):
             weighted_lasso(pair, WeightVector.constant(6, 1.0), SolverConfig(gamma=3.0))
 
 
