@@ -49,6 +49,8 @@ class BernoulliInstance:
         self.a = np.asarray(self.a, dtype=np.float64)
         if self.a.shape != (self.n, self.p):
             raise ValueError("a must be n x p")
+        if np.any((self.a != 0.0) & (self.a != 1.0)):
+            raise ValueError("a must have entries in {0, 1}")
         self.column_sums = np.asarray(self.column_sums, dtype=np.float64)
         if self.column_sums.shape != (self.p,):
             raise ValueError("column_sums must have length p")
@@ -136,7 +138,9 @@ def max_pair_weight(inst: BernoulliInstance, max_ops: float = 1e9) -> float:
     """Exact W = max_{u,k} w(u,k) with
     w(u,k) = sum_l a_{l,u} (n a_{l,k} - S_k)^2 / (n^2 (n-1)^2 q^2 (1-q)^2).
 
-    One n x p by n x p product, O(n p^2); guarded rather than subsampled.
+    Since a is 0/1, (n a_lk - S_k)^2 is a_lk (n^2 - 2 n S_k) + S_k^2, so W
+    comes from the co-occurrence counts a^T a: one n x p by n x p product,
+    O(n p^2); guarded rather than subsampled.
     """
     n, p, q = inst.n, inst.p, inst.q
     if float(n) * p * p > max_ops:
@@ -144,8 +148,11 @@ def max_pair_weight(inst: BernoulliInstance, max_ops: float = 1e9) -> float:
             f"exact pair-weight maximum needs ~{float(n) * p * p:.2e} ops, "
             f"budget {max_ops:.2e}"
         )
-    centered_sq = (n * inst.a - inst.column_sums) ** 2
-    w = inst.a.T @ centered_sq
+    counts = inst.a.T @ inst.a  # co-occurrences; the diagonal holds the column sums
+    sums = inst.column_sums
+    # every term is an integer of magnitude <= n^3, exact in float64 while
+    # n^3 < 2^53, so this equals a^T (n a - S)^2 bit for bit
+    w = counts * (n * n - 2.0 * n * sums) + np.outer(counts.diagonal(), sums * sums)
     w /= (n * (n - 1) * q * (1.0 - q)) ** 2
     return float(w.max())
 

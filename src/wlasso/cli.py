@@ -175,6 +175,8 @@ def _cmd_solve(args) -> int:
             f"weight_kind={kind}",
             f"kkt={_fmt(result.kkt_residual)}",
             f"iterations={result.iterations}",
+            f"working_set={result.working_set}",
+            f"gap={_fmt(result.gap)}",
             f"converged={'true' if result.converged else 'false'}",
         ]
         if x_star is not None:

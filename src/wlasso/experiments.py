@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NonConvergenceError, ParameterError
 from .model import trial_rng
 from .sensing import MODELS, WEIGHT_KINDS, check_params, draw, surrogate, weights
-from .solver import SolverConfig, two_step, weighted_lasso, oracle_least_squares
+from .solver import SolverConfig, detected_support, weighted_lasso, oracle_least_squares
 from .diagnostics import weights_cover
 
 ESTIMATORS = ("ls_oracle", "lasso_two_step", "wlasso_two_step")
@@ -176,7 +176,8 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
 
     The draw, the surrogate pair, the weights, their coverage and ls_oracle do
     not depend on gamma, so each is built once; every gamma is solved from a
-    cold start, so its numbers do not depend on the other gammas.
+    cold start, so its numbers do not depend on the other gammas.  Each
+    distinct support is refit once: the same columns give the same bits.
     """
     rng = trial_rng(point.master_seed, trial_index)
     inst, y, x_star, support = draw(
@@ -195,15 +196,25 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
         except Exception as exc:  # noqa: BLE001 - fails each of its cells below
             built[kind] = exc
 
+    refits: dict = {}
+
+    def refit(cols):
+        if not cols.size:
+            return np.zeros(point.p)
+        key = cols.tobytes()
+        if key not in refits:  # a raised error is not cached, so it fails each cell
+            refits[key] = oracle_least_squares(pair, cols)
+        return refits[key]
+
     def estimate(est, kind, gamma):
         if est == "ls_oracle":
-            return oracle_least_squares(pair, support) if support.size else np.zeros(point.p)
+            return refit(support)
         if isinstance(built[kind], Exception):
             raise built[kind]
         result = weighted_lasso(pair, built[kind], _solver_config(point, gamma))
         if not result.converged:
             raise NonConvergenceError(result.iterations, result.kkt_residual)
-        return two_step(result.x_hat, pair, point.support_eps)[1]
+        return refit(detected_support(result.x_hat, point.support_eps))
 
     denom = point.target_l1 if point.target_l1 > 0 else 1.0
     nmse: dict = {}

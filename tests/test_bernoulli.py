@@ -49,6 +49,8 @@ class TestSampling:
             sample_bernoulli_matrix(10, 10, 1.0, trial_rng(0))
         with pytest.raises(ValueError):
             BernoulliInstance(n=5, p=3, q=0.5, a=np.zeros((4, 3)), column_sums=np.zeros(3))
+        with pytest.raises(ValueError, match="0, 1"):
+            BernoulliInstance(n=2, p=1, q=0.5, a=[[1.0], [0.5]], column_sums=[1.5])
 
 
 class TestMomentOracles:
@@ -154,6 +156,16 @@ class TestPairWeight:
                     acc += inst.a[l, u] * (n * inst.a[l, k] - inst.column_sums[k]) ** 2
                 best = max(best, acc / (n * (n - 1) * q * (1 - q)) ** 2)
         assert max_pair_weight(inst) == pytest.approx(best, rel=1e-12)
+
+    def test_equals_direct_product_exactly(self):
+        # the co-occurrence form rounds nothing, so it matches a^T (n a - S)^2
+        rng = trial_rng(9)
+        for q in (0.002, 0.03, 0.3, 0.5, 0.7, 0.97, 0.998):
+            for n, p in ((2, 1), (2, 7), (50, 13), (400, 30)):
+                inst = sample_bernoulli_matrix(n, p, q, rng)
+                direct = inst.a.T @ (n * inst.a - inst.column_sums) ** 2
+                direct /= (n * (n - 1) * q * (1 - q)) ** 2
+                assert max_pair_weight(inst) == direct.max()
 
     def test_ops_guard(self):
         inst, _, _ = draw_instance(8, n=100, p=20)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import wlasso.experiments
+from wlasso.errors import SingularDesignError
+from wlasso.model import trial_rng
 from wlasso.sensing import draw
+from wlasso.solver import detected_support
 from wlasso.experiments import (
     CSV_HEADER,
     TUNE_INDEX_BASE,
@@ -59,6 +62,10 @@ def conv_point(cfg, m=None):
         max_iter=cfg.max_iter,
         support_eps=cfg.support_eps,
     )
+
+
+def bern_point():
+    return conv_point(conv_config(model="bernoulli", p=40, n=300, q=0.5, m_grid=()), m=0)
 
 
 def cells(point, gamma):
@@ -157,9 +164,9 @@ class TestRunTrial:
         assert out.nmse[("ls_oracle", "none", 0.0)] <= 1e-16
 
     def test_bernoulli_trial_runs(self):
-        cfg = conv_config(model="bernoulli", p=40, n=300, q=0.5, m_grid=())
-        out = run_trial(conv_point(cfg, m=0), 0, (4.0,))
-        assert set(out.nmse) == set(cells(conv_point(cfg, m=0), 4.0))
+        point = bern_point()
+        out = run_trial(point, 0, (4.0,))
+        assert set(out.nmse) == set(cells(point, 4.0))
         assert all(v >= 0 for v in out.nmse.values())
         assert set(out.coverage) == {"constant", "nonconstant"}
 
@@ -174,13 +181,61 @@ class TestRunTrial:
         assert ("ls_oracle", "none", 0.0) in out.nmse
 
     @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_one_refit_per_distinct_support(self, monkeypatch, model):
+        if model == "convolution":
+            point = conv_point(conv_config(target_l1=100.0))
+        else:
+            point = bern_point()
+        supports, refits = [], []
+        solve, refit = wlasso.experiments.weighted_lasso, wlasso.experiments.oracle_least_squares
+
+        def recording_solve(pair, w, config):
+            result = solve(pair, w, config)
+            supports.append(detected_support(result.x_hat, config.support_eps).tobytes())
+            return result
+
+        def counting_refit(pair, support):
+            refits.append(support.tobytes())
+            return refit(pair, support)
+
+        monkeypatch.setattr(wlasso.experiments, "weighted_lasso", recording_solve)
+        monkeypatch.setattr(wlasso.experiments, "oracle_least_squares", counting_refit)
+        for i in range(3):
+            supports.clear()
+            refits.clear()
+            out = run_trial(point, i, (2.1, 4.0))
+            supports.append(draw(
+                point.model, point.p, point.s, point.target_l1, trial_rng(point.master_seed, i),
+                m=point.m, n=point.n, q=point.q,
+            ).support.tobytes())
+            distinct = {key for key in supports if key}
+            assert len(supports) > len(distinct) > 1
+            assert sorted(refits) == sorted(distinct)
+            assert not out.failures
+
+    def test_failed_refit_fails_each_of_its_cells(self, monkeypatch):
+        point = bern_point()
+        calls = []
+
+        def singular(pair, support):
+            calls.append(support.tobytes())
+            raise SingularDesignError(0.0, 1.0)
+
+        monkeypatch.setattr(wlasso.experiments, "oracle_least_squares", singular)
+        out = run_trial(point, 0, (2.1, 4.0))
+        assert not out.nmse
+        assert set(out.failures) == set(cells(point, 2.1) + cells(point, 4.0))
+        assert all(v.startswith("SingularDesignError") for v in out.failures.values())
+        # a support shared by several cells is refit, and fails, once per cell
+        assert len(calls) == len(out.failures) > len(set(calls))
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
     def test_gammas_share_one_draw(self, model):
         # one run over two gammas gives exactly what a run at each gamma gives
         if model == "convolution":
             point = conv_point(conv_config(weight_kinds=("constant", "nonconstant", "oracle")))
         else:
-            cfg = conv_config(model="bernoulli", p=40, n=300, q=0.5, m_grid=())
-            point = conv_point(cfg, m=0)
+            point = bern_point()
         for i in range(3):
             both = run_trial(point, i, (2.1, 4.0))
             low, high = run_trial(point, i, (2.1,)), run_trial(point, i, (4.0,))

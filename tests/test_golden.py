@@ -1,6 +1,6 @@
 """Golden CSVs: a fresh sweep must reproduce the committed output byte for byte.
 
-A change that claims unchanged output must keep both files under
+A change that claims unchanged output must keep every file under
 tests/golden/; a change that alters the numbers on purpose regenerates them
 and says why.
 """
@@ -13,15 +13,25 @@ from wlasso.experiments import ExperimentConfig, rows_to_csv, run_mse_vs_m, run_
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# criterion 9's convolution sweep, and the Bernoulli p sweep of the same size
+SMALL = dict(s=3, trials=5, tune_trials=2, gamma_grid=(2.5, 4.0), target_l1=30.0)
+
+# criterion 9's convolution sweep, the Bernoulli p sweep of the same size, and
+# a denser convolution sweep where some solves grow their working set
 SWEEPS = {
     "convolution_mse_vs_m.csv": (
         run_mse_vs_m,
-        dict(model="convolution", p=60, m_grid=(8, 16)),
+        dict(SMALL, model="convolution", p=60, m_grid=(8, 16)),
     ),
     "bernoulli_mse_vs_p.csv": (
         run_mse_vs_p,
-        dict(model="bernoulli", p_grid=(20, 40), n=300),
+        dict(SMALL, model="bernoulli", p_grid=(20, 40), n=300),
+    ),
+    "convolution_mse_vs_m_s30.csv": (
+        run_mse_vs_m,
+        dict(
+            model="convolution", p=300, s=30, m_grid=(40, 160), trials=3,
+            tune_trials=2, gamma_grid=(2.1, 4.0),
+        ),
     ),
 }
 
@@ -29,9 +39,5 @@ SWEEPS = {
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_matches_golden_csv(name):
     run, over = SWEEPS[name]
-    cfg = ExperimentConfig(
-        s=3, trials=5, tune_trials=2, gamma_grid=(2.5, 4.0), target_l1=30.0,
-        master_seed=5, **over,
-    )
-    fresh = rows_to_csv(run(cfg)).encode()
+    fresh = rows_to_csv(run(ExperimentConfig(master_seed=5, **over))).encode()
     assert fresh == (GOLDEN / name).read_bytes()

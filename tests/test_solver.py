@@ -12,11 +12,14 @@ from wlasso.model import (
     Dense,
     SurrogatePair,
     apply,
+    apply_adjoint,
     trial_rng,
 )
+from wlasso.sensing import draw, surrogate, weights
 from wlasso.solver import (
     SolverConfig,
     WeightVector,
+    detected_support,
     kkt_check,
     objective,
     oracle_least_squares,
@@ -43,6 +46,40 @@ def random_circulant_pair(seed, p=40):
 def random_weights(seed, p):
     vals = trial_rng(seed).uniform(0.2, 2.0, size=p)
     return WeightVector(vals, "nonconstant")
+
+
+def full_sweep_lasso(pair, w, gamma, tol_kkt=1e-8):
+    """Reference coordinate descent: every sweep visits all p coordinates."""
+    op, y = pair.a_tilde, pair.y_tilde
+    gram = op.gram
+    diag = gram.diagonal()
+    limits = gamma * w.values / 2.0
+    tol_coord = 1e-9 * (1.0 + np.abs(y).max())
+    x = np.zeros(op.n_cols)
+    h = apply_adjoint(op, y)
+    for _ in range(10_000):
+        delta_max = 0.0
+        for k in range(x.size):
+            delta = soft_threshold(h[k] + diag[k] * x[k], limits[k]) / diag[k] - x[k]
+            if delta != 0.0:
+                x[k] += delta
+                h -= delta * gram[k]
+                delta_max = max(delta_max, abs(delta))
+        if delta_max < tol_coord:
+            h = apply_adjoint(op, y - apply(op, x))
+            if kkt_check(pair, w, gamma, x) < tol_kkt:
+                return x
+    raise AssertionError("full sweeps did not converge")
+
+
+def model_instance(model, p, seed):
+    """A drawn surrogate pair with its constant and nonconstant weights."""
+    rng = trial_rng(seed)
+    inst, y, _, _ = draw(
+        model, p, 3 if p == 50 else 15, 100.0, rng, m=12 if p == 50 else 60, n=2000, q=0.5
+    )
+    pair = surrogate(inst, y)
+    return pair, {kind: weights(kind, inst, pair, y) for kind in ("constant", "nonconstant")}
 
 
 class TestSoftThreshold:
@@ -148,6 +185,78 @@ class TestKKT:
         bad = res.x_hat.copy()
         bad[0] += 0.5
         assert kkt_check(pair, w, 2.1, bad) > 1e-3
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    @pytest.mark.parametrize("p", [50, 300])
+    def test_agrees_with_full_sweeps(self, model, p):
+        nonempty = 0
+        for seed in range(40):
+            pair, built = model_instance(model, p, seed)
+            for w in built.values():
+                for gamma in (2.1, 4.0):
+                    cfg = SolverConfig(gamma=gamma)
+                    want = full_sweep_lasso(pair, w, gamma)
+                    res = weighted_lasso(pair, w, cfg)
+                    assert res.converged
+                    assert np.array_equal(detected_support(res.x_hat), detected_support(want))
+                    assert np.max(np.abs(res.x_hat - want)) <= 1e-8
+                    assert kkt_check(pair, w, gamma, res.x_hat) <= cfg.tol_kkt
+                    assert kkt_check(pair, w, gamma, want) <= cfg.tol_kkt
+                    nonempty += bool(detected_support(want).size)
+        assert nonempty >= 100  # most of the 160 solves have a nonzero solution
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_warm_start_off_the_support_reaches_cold_support(self, model):
+        pair, built = model_instance(model, 300, 3)
+        w = built["nonconstant"]
+        cfg = SolverConfig(gamma=2.1)
+        cold = weighted_lasso(pair, w, cfg)
+        support = detected_support(cold.x_hat)
+        x0 = trial_rng(4).normal(size=300)
+        x0[support] = 0.0
+        warm = weighted_lasso(pair, w, cfg, x0=x0)
+        assert warm.converged
+        assert np.array_equal(detected_support(warm.x_hat), support)
+        assert np.max(np.abs(warm.x_hat - cold.x_hat)) < 1e-6
+
+    def test_sweep_budget_caps_the_sweeps(self):
+        pair, built = model_instance("convolution", 300, 0)
+        w = built["nonconstant"]
+        assert weighted_lasso(pair, w, SolverConfig(gamma=2.1)).iterations > 1
+        res = weighted_lasso(pair, w, SolverConfig(gamma=2.1, max_iter=1))
+        assert not res.converged
+        assert res.iterations == 1
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_reported_working_set_and_gap(self, model):
+        for seed in range(5):
+            pair, built = model_instance(model, 300, seed)
+            for w in built.values():
+                res = weighted_lasso(pair, w, SolverConfig(gamma=2.1))
+                assert res.converged
+                assert detected_support(res.x_hat).size <= res.working_set <= 300
+                assert -1e-12 * (1.0 + res.objective) <= res.gap <= 1e-6 * (1.0 + res.objective)
+
+    def test_gap_positive_before_convergence(self):
+        pair, built = model_instance("convolution", 300, 0)
+        w = built["nonconstant"]
+        assert np.any(weighted_lasso(pair, w, SolverConfig(gamma=2.1)).x_hat)
+        res = weighted_lasso(pair, w, SolverConfig(gamma=2.1, max_iter=1), x0=np.zeros(300))
+        assert not res.converged
+        assert res.gap > 0.0
+
+    def test_gap_by_hand(self):
+        # identity design, y = (3, 0.5), thresholds 2: only coordinate 0 breaks
+        # its threshold; x = (1, 0), r = (2, 0.5) is dual feasible unscaled, so
+        # primal 4.25 + 4 equals dual 2 * 6.25 - 4.25
+        pair = SurrogatePair(Circulant(np.array([1.0, 0.0])), np.array([3.0, 0.5]))
+        res = weighted_lasso(pair, WeightVector.constant(2, 1.0), SolverConfig(gamma=4.0))
+        assert np.array_equal(res.x_hat, [1.0, 0.0])
+        assert res.working_set == 1
+        assert res.objective == 8.25
+        assert res.gap == 0.0
 
 
 class TestInvariances:
