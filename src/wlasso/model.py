@@ -25,6 +25,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# numpy loads these on first use.  Loading them with wlasso puts them in every
+# process forked after the import, so a fresh pool worker's first trial does
+# not spend tens of milliseconds importing them.
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .errors import MemoryGuardError, ParameterError
 

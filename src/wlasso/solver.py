@@ -256,7 +256,8 @@ def oracle_least_squares(
     support = np.asarray(support, dtype=np.int64)
     if support.ndim != 1 or support.size == 0:
         raise ValueError("support must be a nonempty index vector")
-    if support.size != np.unique(support).size:
+    ordered = np.sort(support)  # np.unique would load numpy.ma on its first call
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("support must not repeat indices")
     p = pair.a_tilde.n_cols
     if support.min() < 0 or support.max() >= p:

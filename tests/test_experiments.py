@@ -1,6 +1,10 @@
 """Monte Carlo harness: seeding, tuning, aggregation, CSV stability."""
 
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +414,27 @@ class TestSweeps:
         assert built == []
         assert rows_to_csv(run_mse_vs_m(cfg, threads=2)) == serial
         assert len(built) == 1
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_trial_imports_nothing(self, model):
+        # pool workers are forked after `import wlasso`: a module that a trial
+        # loads on first use would be imported again in every worker of every sweep
+        point = "conv_point(conv_config())" if model == "convolution" else "bern_point()"
+        code = "\n".join([
+            "import sys",
+            "from wlasso.experiments import run_trial",
+            "from test_experiments import bern_point, conv_config, conv_point",
+            "before = set(sys.modules)",
+            f"run_trial({point}, 0, (2.1, 4.0))",
+            "print(sorted(set(sys.modules) - before))",
+        ])
+        src = Path(wlasso.experiments.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_nonconverged_solves_counted_in_csv(self):
         # no solve converges in one sweep, so no estimator can be tuned either
