@@ -10,11 +10,21 @@ high probability.  Each weight is a first part controlling the centred linear
 statistic (through the concentration toolkit, at theta = 3 log p by default)
 plus a shared second-order term c * (theta/n + max(q, 1-q)^2 theta^2 /
 (n^2 q (1-q))) * N_hat, where N_hat estimates ||x*||_1 from the counts alone.
+
+Since a is 0/1, (n a_lk - S_k)^2 is (n - S_k)^2 where a_lk = 1 and S_k^2 where
+a_lk = 0, with S the column sums.  So the per-coordinate statistics V^T Y come
+from y @ a and sum(y) in O(n p), with no n x p temporary, and both the
+constant weight's pair maximum and the surrogate Gram come from the
+co-occurrence counts C = a^T a, one O(n p^2) product per draw, cached on the
+instance:
+
+  A_tilde^T A_tilde = (C - q S 1^T - q 1 S^T + n q^2 11^T) / (n q (1 - q)).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,6 +65,14 @@ class BernoulliInstance:
         if self.column_sums.shape != (self.p,):
             raise ValueError("column_sums must have length p")
 
+    @cached_property
+    def co_occurrence(self) -> np.ndarray:
+        """C = a^T a, read-only: C[u, k] counts the rows where columns u and k
+        are both 1, so its diagonal holds the column sums."""
+        counts = self.a.T @ self.a
+        counts.flags.writeable = False
+        return counts
+
 
 def check_design(n: int, p: int, q: float) -> None:
     if n < 2:
@@ -92,9 +110,18 @@ def surrogate_bernoulli(inst: BernoulliInstance, y) -> SurrogatePair:
     if y.shape != (inst.n,):
         raise ValueError("y must have length n")
     scale = _scale(inst)
-    a_tilde = Dense((inst.a - inst.q) / scale)
+    a_tilde = Dense((inst.a - inst.q) / scale, gram_from=partial(_surrogate_gram, inst))
     y_tilde = (inst.n * y - y.sum()) / ((inst.n - 1) * scale)
     return SurrogatePair(a_tilde=a_tilde, y_tilde=y_tilde)
+
+
+def _surrogate_gram(inst: BernoulliInstance) -> np.ndarray:
+    """A_tilde^T A_tilde from the co-occurrence counts, without the n x p product."""
+    n, q, sums = inst.n, inst.q, inst.column_sums
+    gram = inst.co_occurrence - q * sums[:, None]
+    gram -= q * sums - n * q * q
+    gram /= n * q * (1.0 - q)
+    return gram
 
 
 def l1_norm_estimator(inst: BernoulliInstance, y, theta: float | None = None) -> float:
@@ -139,8 +166,9 @@ def max_pair_weight(inst: BernoulliInstance, max_ops: float = 1e9) -> float:
     w(u,k) = sum_l a_{l,u} (n a_{l,k} - S_k)^2 / (n^2 (n-1)^2 q^2 (1-q)^2).
 
     Since a is 0/1, (n a_lk - S_k)^2 is a_lk (n^2 - 2 n S_k) + S_k^2, so W
-    comes from the co-occurrence counts a^T a: one n x p by n x p product,
-    O(n p^2); guarded rather than subsampled.
+    comes from the co-occurrence counts a^T a, shared with the surrogate Gram:
+    one n x p by n x p product per draw, O(n p^2); guarded rather than
+    subsampled.
     """
     n, p, q = inst.n, inst.p, inst.q
     if float(n) * p * p > max_ops:
@@ -148,7 +176,7 @@ def max_pair_weight(inst: BernoulliInstance, max_ops: float = 1e9) -> float:
             f"exact pair-weight maximum needs ~{float(n) * p * p:.2e} ops, "
             f"budget {max_ops:.2e}"
         )
-    counts = inst.a.T @ inst.a  # co-occurrences; the diagonal holds the column sums
+    counts = inst.co_occurrence
     sums = inst.column_sums
     # every term is an integer of magnitude <= n^3, exact in float64 while
     # n^3 < 2^53, so this equals a^T (n a - S)^2 bit for bit
@@ -175,21 +203,35 @@ def constant_weights(
     return WeightVector.constant(inst.p, d)
 
 
+def variance_statistics(inst: BernoulliInstance, y: np.ndarray) -> np.ndarray:
+    """V^T y with V_{l,k} = ((n a_{l,k} - S_k) / (n (n-1) q (1-q)))^2, in O(n p):
+
+      ((y @ a) (n - S)^2 + (sum(y) - y @ a) S^2) / (n (n-1) q (1-q))^2.
+
+    With integer counts every term before the division is exact.  With float
+    y, sum(y) - y @ a carries the rounding of sum(y), which is large next to
+    the result only where S_k is near n.
+    """
+    n, q, sums = inst.n, inst.q, inst.column_sums
+    on_ones = y @ inst.a
+    # y on each column's zeros; counts are nonnegative, so the clamp only drops rounding
+    on_zeros = np.maximum(y.sum() - on_ones, 0.0)
+    vty = on_ones * (n - sums) ** 2 + on_zeros * sums * sums
+    vty /= (n * (n - 1) * q * (1.0 - q)) ** 2
+    return vty
+
+
 def nonconstant_weights(
     inst: BernoulliInstance, y, c: float = 1.0, theta: float | None = None
 ) -> WeightVector:
-    """Per-coordinate weights from the observable statistics V_k^T Y with
-    V_{k,l} = ((n a_{l,k} - S_k) / (n (n-1) q (1-q)))^2."""
+    """Per-coordinate weights from the observable statistics V_k^T Y."""
     check_c(c)
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (inst.n,):
         raise ValueError("y must have length n")
     if theta is None:
         theta = default_theta(inst.p)
-    n, q = inst.n, inst.q
     n_hat = l1_norm_estimator(inst, y, theta)
-    v = ((n * inst.a - inst.column_sums) / (n * (n - 1) * q * (1.0 - q))) ** 2
-    vty = y @ v
-    d = empirical_deviation_bound(_r_inf_bound(inst), vty, theta)
+    d = empirical_deviation_bound(_r_inf_bound(inst), variance_statistics(inst, y), theta)
     d += _second_order_term(inst, c, theta, n_hat)
     return WeightVector(d, "nonconstant")

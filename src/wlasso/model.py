@@ -4,9 +4,14 @@ Two operator classes share one surface (apply, adjoint, columns, materialize,
 gram): Dense stores the matrix, Circulant only its generator column c, with
 entry (l, k) equal to c[(l - k) mod p].  Each owns its Gram matrix A^T A,
 computed once per operator: a zero-copy strided view for a circulant, a p x p
-product, guarded at GRAM_MAX_P columns, for a dense design.  Only
+matrix, guarded at GRAM_MAX_P columns, for a dense design; a dense design may
+say how to build its Gram from something cheaper than the product, as the
+Bernoulli surrogate does from the 0/1 co-occurrence counts.  Only
 diagnostics.gram_deviation branches on the class, to read a circulant Gram
 from its generator without allocating p x p floats.
+
+A SurrogatePair holds its observations read-only and caches the score at zero,
+aty = A^T y, so the solver's every score, aty - A^T A x, comes from Gram rows.
 
 Every circulant product goes through cyclic_convolve (cyclic_correlate reverses
 one operand and calls it).  The DFT diagonalises a circulant matrix, so a dense
@@ -21,8 +26,9 @@ sample_poisson rejects a negative intensity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 # numpy loads these on first use.  Loading them with wlasso puts them in every
@@ -198,7 +204,9 @@ class Circulant:
         return cyclic_correlate(self.generator, y)
 
     def columns(self, index) -> np.ndarray:
-        return np.stack([np.roll(self.generator, k) for k in index], axis=1)
+        p = self.generator.size
+        doubled = np.tile(self.generator, 2)  # roll(c, k) is doubled[p - k : 2p - k]
+        return np.stack([doubled[p - k : 2 * p - k] for k in index], axis=1)
 
     def materialize(self, max_p: int = 4096) -> np.ndarray:
         """Dense copy, guarded against p x p blow-up."""
@@ -225,9 +233,10 @@ class Circulant:
 
 @dataclass(eq=False)
 class Dense:
-    """Operator stored as its full matrix."""
+    """Operator stored as its full matrix; gram_from, if given, builds A^T A."""
 
     dense: np.ndarray
+    gram_from: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.dense = np.asarray(self.dense, dtype=np.float64)
@@ -262,7 +271,7 @@ class Dense:
             raise MemoryGuardError(
                 f"dense gram for p = {self.n_cols} exceeds guard {GRAM_MAX_P}"
             )
-        gram = self.dense.T @ self.dense
+        gram = self.dense.T @ self.dense if self.gram_from is None else self.gram_from()
         gram.flags.writeable = False
         return gram
 
@@ -287,18 +296,27 @@ class SurrogatePair:
     """Recentred design and observations whose Gram expectation is identity.
 
     Both sensing models reduce to this pair; the solver and the weight
-    assumptions only ever see (a_tilde, y_tilde).
+    assumptions only ever see (a_tilde, y_tilde).  y_tilde is a read-only copy,
+    so the cached aty cannot go stale.
     """
 
     a_tilde: Circulant | Dense
     y_tilde: np.ndarray
 
     def __post_init__(self):
-        self.y_tilde = np.asarray(self.y_tilde, dtype=np.float64)
+        self.y_tilde = np.array(self.y_tilde, dtype=np.float64)
         if self.y_tilde.shape != (self.a_tilde.n_rows,):
             raise ValueError("y_tilde length must match operator rows")
         if not np.all(np.isfinite(self.y_tilde)):
             raise ValueError("y_tilde must be finite")
+        self.y_tilde.flags.writeable = False
+
+    @cached_property
+    def aty(self) -> np.ndarray:
+        """A_tilde^T y_tilde, read-only: the score at x = 0, shared by every solve."""
+        aty = apply_adjoint(self.a_tilde, self.y_tilde)
+        aty.flags.writeable = False
+        return aty
 
 
 def deviation_at_truth(pair: SurrogatePair, x_star: np.ndarray) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 The objective is ||y_tilde - A_tilde x||_2^2 + gamma * sum_k d_k |x_k| (no 1/2
 on the quadratic), so the per-coordinate soft threshold is gamma * d_k / 2.
-One loop serves both designs: it tracks the score A^T (y - A x) through rows
-of the operator's Gram matrix, O(p) per coordinate update (glmnet's
-covariance updates).  It sweeps only a working set, the support plus the
+One loop serves both designs and works in Gram space (glmnet's covariance
+updates): it tracks the score A^T (y - A x) through rows of the operator's
+Gram matrix, O(p) per coordinate update, and builds every drift-free score
+as aty - x[S] @ gram[S] from the pair's cached aty = A^T y and the Gram rows
+of the support S.  It sweeps only a working set, the support plus the
 coordinates whose score breaks their threshold, and certifies all p
 coordinates in one vectorised KKT check before it stops (strong rules,
-Tibshirani et al. 2012; Celer, Massias et al. 2018).
+Tibshirani et al. 2012; Celer, Massias et al. 2018).  The design itself is
+read once per solve, for the residual behind the objective and the duality
+gap; kkt_check alone recomputes the score through the design and its adjoint.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateColumnError, ParameterError, SingularDesignError
-from .model import Circulant, Dense, SurrogatePair, apply, apply_adjoint
+from .model import SurrogatePair, apply, apply_adjoint
 
 
 def check_gamma(gamma: float) -> None:
@@ -149,12 +153,9 @@ def kkt_check(
     pair: SurrogatePair, weights: WeightVector, gamma: float, x: np.ndarray
 ) -> float:
     x = np.asarray(x, dtype=np.float64)
-    score = _fresh_score(pair.a_tilde, pair.y_tilde, x)
+    # the residual route, independent of the solver's Gram-space score
+    score = apply_adjoint(pair.a_tilde, pair.y_tilde - apply(pair.a_tilde, x))
     return _kkt_from_score(score, x, gamma * weights.values / 2.0)
-
-
-def _fresh_score(op: Circulant | Dense, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return apply_adjoint(op, y - apply(op, x))
 
 
 def weighted_lasso(
@@ -184,12 +185,11 @@ def weighted_lasso(
     thresholds = config.gamma * weights.values / 2.0
     tol_coord = 1e-9 * (1.0 + float(np.abs(pair.y_tilde).max(initial=0.0)))
 
-    iterations, converged, working_set = _descend(
-        op, pair.y_tilde, x, thresholds, tol_coord, config
+    iterations, converged, working_set, score = _descend(
+        op, pair.aty, x, thresholds, tol_coord, config
     )
 
     residual = pair.y_tilde - apply(op, x)
-    score = apply_adjoint(op, residual)
     primal = _objective_at(residual, weights, config.gamma, x)
     return SolveResult(
         x_hat=x,
@@ -202,13 +202,15 @@ def weighted_lasso(
     )
 
 
-def _descend(op, y, x, thresholds, tol_coord, config):
+def _descend(op, aty, x, thresholds, tol_coord, config):
     """CD sweeps over a working set, tracking the score h = A^T (y - A x).
 
     The set is the support plus the coordinates whose fresh score breaks
     their threshold.  Once a sweep of it moves nothing, a drift-free score
     checks all p coordinates; if any fails, the set is rebuilt from that
     score.  Full Gram rows keep h exact off the set, O(p) per update.
+    Returns the sweeps, whether it converged, the set size and the
+    drift-free score at the final x.
     """
     gram = op.gram
     diag = gram.diagonal()
@@ -217,7 +219,7 @@ def _descend(op, y, x, thresholds, tol_coord, config):
         raise DegenerateColumnError(int(degenerate[0]))
     # python floats: indexing a numpy array per coordinate costs more than the update
     diag, limits = diag.tolist(), thresholds.tolist()
-    h = _fresh_score(op, y, x)
+    h = _gram_score(aty, gram, x)
     work = _working_set(x, h, thresholds)
 
     iterations = 0
@@ -237,11 +239,17 @@ def _descend(op, y, x, thresholds, tol_coord, config):
         iterations += 1
         if delta_max < tol_coord:
             # judge convergence on a drift-free score over all p, and keep it
-            h = _fresh_score(op, y, x)
+            h = _gram_score(aty, gram, x)
             if _kkt_from_score(h, x, thresholds) < config.tol_kkt:
-                return iterations, True, len(work)
+                return iterations, True, len(work), h
             work = _working_set(x, h, thresholds)
-    return iterations, False, len(work)
+    return iterations, False, len(work), _gram_score(aty, gram, x)
+
+
+def _gram_score(aty, gram, x) -> np.ndarray:
+    """A^T (y - A x) as aty - x[S] @ gram[S] over the support S; aty's bits at 0."""
+    support = np.flatnonzero(x)
+    return aty - x[support] @ gram[support]
 
 
 def _working_set(x, score, thresholds) -> list:

@@ -14,13 +14,15 @@ from wlasso.bernoulli import (
     nonconstant_weights,
     sample_bernoulli_matrix,
     surrogate_bernoulli,
+    variance_statistics,
 )
 from wlasso.concentration import (
     bernstein_bound,
     empirical_deviation_bound,
     variance_envelope,
 )
-from wlasso.errors import EnumerationGuardError, RegimeViolationError
+import wlasso.model
+from wlasso.errors import EnumerationGuardError, MemoryGuardError, RegimeViolationError
 from wlasso.model import deviation_at_truth, make_sparse_signal, sample_poisson, trial_rng
 
 
@@ -248,3 +250,76 @@ class TestWeights:
             if np.all(nonconstant_weights(inst, y).values >= dev):
                 covered += 1
         assert covered >= 23
+
+
+def direct_statistics(inst, y):
+    n, q = inst.n, inst.q
+    return y @ ((n * inst.a - inst.column_sums) / (n * (n - 1) * q * (1 - q))) ** 2
+
+
+class TestColumnStatistics:
+    """The O(n p) statistics and the co-occurrence Gram match their definitions."""
+
+    @pytest.mark.parametrize("q", [0.002, 0.5, 0.998])
+    @pytest.mark.parametrize("n", [2, 60, 2000])
+    def test_statistics_equal_direct_product_on_counts(self, q, n):
+        for seed in range(5):
+            inst, _, y = draw_instance(seed, n=n, p=30, q=q)
+            want = direct_statistics(inst, y)
+            got = variance_statistics(inst, y)
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("q", [0.002, 0.5, 0.998])
+    @pytest.mark.parametrize("n", [2, 60, 2000])
+    def test_statistics_on_noiseless_float_y(self, q, n):
+        # sum(y) - y @ a rounds like sum(y), so the bound is relative to the
+        # sum(y) S^2 term it is taken from; at q <= 1/2 that is the result's size
+        for seed in range(5):
+            inst, sig, _ = draw_instance(seed, n=n, p=30, q=q)
+            y = inst.a @ sig.dense() + 0.1
+            want = direct_statistics(inst, y)
+            got = variance_statistics(inst, y)
+            scale = want + y.sum() * inst.column_sums**2 / (n * (n - 1) * q * (1 - q)) ** 2
+            assert np.all(got >= 0.0)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            if q <= 0.5:
+                assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_all_ones_column_gives_finite_weights(self):
+        # a column of ones has V^T y = 0, and in most of these draws sum(y)
+        # rounds below y @ a on one; the statistic must not go below zero
+        for seed in range(6):
+            inst, sig, _ = draw_instance(seed, n=400, p=30, q=0.998)
+            assert np.any(inst.column_sums == inst.n)
+            y = inst.a @ sig.dense() + 0.1
+            assert np.all(variance_statistics(inst, y) >= 0.0)
+            assert np.all(np.isfinite(nonconstant_weights(inst, y).values))
+
+    @pytest.mark.parametrize("q", [0.25, 0.5])
+    def test_surrogate_gram_from_co_occurrence(self, q):
+        for seed in range(3):
+            inst, _, y = draw_instance(seed, n=500, p=40, q=q)
+            a_tilde = surrogate_bernoulli(inst, y).a_tilde
+            want = a_tilde.dense.T @ a_tilde.dense
+            assert np.max(np.abs(a_tilde.gram - want)) <= 1e-12
+
+    def test_one_co_occurrence_product_per_draw(self):
+        inst, _, y = draw_instance(4)
+        counts = inst.co_occurrence
+        assert inst.co_occurrence is counts
+        assert np.array_equal(counts, inst.a.T @ inst.a)
+        with pytest.raises(ValueError):
+            counts[0, 0] = 1.0
+        max_pair_weight(inst)
+        surrogate_bernoulli(inst, y).a_tilde.gram
+        assert inst.co_occurrence is counts
+
+    def test_wide_design_builds_without_its_gram(self, monkeypatch):
+        inst, _, y = draw_instance(5, n=400, p=30)
+        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 20)
+        pair = surrogate_bernoulli(inst, y)
+        assert nonconstant_weights(inst, y).values.shape == (30,)
+        assert pair.aty.shape == (30,)
+        assert "co_occurrence" not in vars(inst)
+        with pytest.raises(MemoryGuardError, match="p = 30"):
+            pair.a_tilde.gram

@@ -343,3 +343,12 @@ class TestSurrogatePair:
         x = rng.normal(size=7)
         want = mat.T @ (pair.y_tilde - mat @ x)
         assert np.allclose(deviation_at_truth(pair, x), want, atol=1e-12)
+
+    def test_observations_are_a_read_only_copy(self):
+        # the cached aty is A^T y_tilde, so y_tilde must not change under it
+        y = np.arange(4.0)
+        pair = SurrogatePair(Dense(np.eye(4)), y)
+        with pytest.raises(ValueError):
+            pair.y_tilde[0] = 1.0
+        y[0] = 7.0  # the caller's array stays writable and is not shared
+        assert pair.y_tilde[0] == 0.0

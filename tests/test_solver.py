@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlasso.model
+import wlasso.solver
 from wlasso.errors import DegenerateColumnError, MemoryGuardError, SingularDesignError
 from wlasso.model import (
     Circulant,
@@ -70,6 +71,21 @@ def full_sweep_lasso(pair, w, gamma, tol_kkt=1e-8):
             if kkt_check(pair, w, gamma, x) < tol_kkt:
                 return x
     raise AssertionError("full sweeps did not converge")
+
+
+def count_products(monkeypatch):
+    """Count apply and adjoint calls on both operator classes."""
+    calls = {"apply": 0, "adjoint": 0}
+    for cls in (Circulant, Dense):
+        for name in calls:
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def model_instance(model, p, seed):
@@ -461,3 +477,76 @@ class TestRefitting:
         first[3] = 1e-12
         support, refit = two_step(first, pair, support_eps=1e-9)
         assert support.size == 0 and np.all(refit == 0.0)
+
+
+class TestGramSpaceScore:
+    """The solver's scores come from the cached aty and Gram rows alone."""
+
+    @staticmethod
+    def assert_matches_residual_route(pair, x):
+        op = pair.a_tilde
+        want = apply_adjoint(op, pair.y_tilde - apply(op, x))
+        got = wlasso.solver._gram_score(pair.aty, op.gram, x)
+        assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.abs(pair.aty).max())
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    @pytest.mark.parametrize("p", [50, 300])
+    def test_equals_residual_route(self, model, p):
+        for seed in range(3):
+            pair, built = model_instance(model, p, seed)
+            rng = trial_rng(seed + 50)
+            x = np.zeros(p)
+            x[rng.choice(p, 5, replace=False)] = rng.normal(size=5) * 10.0
+            self.assert_matches_residual_route(pair, x)
+            for w in built.values():
+                x_hat = weighted_lasso(pair, w, SolverConfig(gamma=2.1)).x_hat
+                self.assert_matches_residual_route(pair, x_hat)
+
+    def test_equals_residual_route_circulant_p5000(self):
+        rng = trial_rng(8)
+        inst, y, x_star, _ = draw("convolution", 5000, 5, 100.0, rng, m=40, n=0, q=0.5)
+        pair = surrogate(inst, y)
+        self.assert_matches_residual_route(pair, x_star)
+        w = weights("nonconstant", inst, pair, y)
+        self.assert_matches_residual_route(pair, weighted_lasso(pair, w, SolverConfig(gamma=4.0)).x_hat)
+
+    def test_score_at_zero_is_aty_bit_for_bit(self):
+        pair, _ = model_instance("convolution", 50, 0)
+        h = wlasso.solver._gram_score(pair.aty, pair.a_tilde.gram, np.zeros(50))
+        assert np.array_equal(h, apply_adjoint(pair.a_tilde, pair.y_tilde))
+        assert h is not pair.aty
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_reported_kkt_is_certified(self, model):
+        for seed in range(3):
+            pair, built = model_instance(model, 300, seed)
+            for w in built.values():
+                cfg = SolverConfig(gamma=2.1)
+                res = weighted_lasso(pair, w, cfg)
+                assert res.converged
+                assert res.kkt_residual <= cfg.tol_kkt
+                assert kkt_check(pair, w, cfg.gamma, res.x_hat) <= cfg.tol_kkt
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_aty_computed_once_and_read_only(self, model, monkeypatch):
+        pair, built = model_instance(model, 50, 1)
+        calls = count_products(monkeypatch)
+        aty = pair.aty
+        assert pair.aty is aty
+        assert calls["adjoint"] == 1
+        assert np.array_equal(aty, pair.a_tilde.adjoint(pair.y_tilde))
+        with pytest.raises(ValueError):
+            aty[0] = 1.0
+        weighted_lasso(pair, built["constant"], SolverConfig(gamma=2.1))
+        assert pair.aty is aty
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_one_product_per_solve(self, model, monkeypatch):
+        # the design is applied once, for the residual behind objective and
+        # gap; its adjoint is never applied once aty is cached
+        pair, built = model_instance(model, 300, 2)
+        pair.aty
+        calls = count_products(monkeypatch)
+        res = weighted_lasso(pair, built["nonconstant"], SolverConfig(gamma=2.1))
+        assert res.converged and np.any(res.x_hat)
+        assert calls == {"apply": 1, "adjoint": 0}
