@@ -52,10 +52,7 @@ class BernoulliInstance:
     column_sums: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("need 0 < q < 1")
+        check_design(self.n, self.p, self.q)
         self.a = np.asarray(self.a, dtype=np.float64)
         if self.a.shape != (self.n, self.p):
             raise ValueError("a must be n x p")
@@ -77,8 +74,8 @@ class BernoulliInstance:
 def check_design(n: int, p: int, q: float) -> None:
     if n < 2:
         raise ParameterError("n", "must be >= 2", n)
-    if p < 1:
-        raise ParameterError("p", "must be >= 1", p)
+    if p < 2:
+        raise ParameterError("p", "must be >= 2", p)
     if not 0.0 < q < 1.0:
         raise ParameterError("q", "must lie in (0, 1)", q)
 
@@ -186,18 +183,14 @@ def max_pair_weight(inst: BernoulliInstance, max_ops: float = 1e9) -> float:
 
 
 def constant_weights(
-    inst: BernoulliInstance,
-    y,
-    c: float = 1.0,
-    theta: float | None = None,
-    max_ops: float = 1e9,
+    inst: BernoulliInstance, y, c: float = 1.0, theta: float | None = None
 ) -> WeightVector:
     """Single weight from the worst pair statistic W and the mass bound N_hat."""
     check_c(c)
     if theta is None:
         theta = default_theta(inst.p)
     n_hat = l1_norm_estimator(inst, y, theta)
-    w_max = max_pair_weight(inst, max_ops)
+    w_max = max_pair_weight(inst)
     d = bernstein_bound(w_max * n_hat, _r_inf_bound(inst), theta)
     d += _second_order_term(inst, c, theta, n_hat)
     return WeightVector.constant(inst.p, d)

@@ -1,8 +1,9 @@
 """Command-line front end: solve | weights | diagnose | experiment | concentration-test.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.  All randomness flows
-from one seed (flag > config file > WLASSO_SEED env var > 0); reruns with the
-same inputs produce byte-identical outputs.  No subcommand mutates its inputs.
+from one seed (flag > config file > WLASSO_SEED env var > 0), which must be
+>= 0; reruns with the same inputs produce byte-identical outputs.  No
+subcommand mutates its inputs.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .concentration import check_theta, tail_coverage_test
 from .diagnostics import assumption_report
 from .errors import ParameterError, WeightKindError
 from .experiments import run_mse_vs_m, run_mse_vs_p, rows_to_csv
-from .model import trial_rng
+from .model import check_seed, trial_rng
 from .sensing import (
     MODELS,
     WEIGHT_KINDS,
@@ -53,13 +54,13 @@ def _env_seed() -> int:
     if not raw:
         return 0
     try:
-        return int(raw)
+        return check_seed(int(raw), "WLASSO_SEED")
     except ValueError as exc:
-        raise _UsageError(f"WLASSO_SEED must be an integer, got {raw!r}") from exc
+        raise _UsageError(f"WLASSO_SEED must be an integer >= 0, got {raw!r}") from exc
 
 
 def _resolve_seed(flag_seed: Optional[int]) -> int:
-    return flag_seed if flag_seed is not None else _env_seed()
+    return check_seed(flag_seed) if flag_seed is not None else _env_seed()
 
 
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
@@ -100,6 +101,8 @@ def _load_instance(path: str, q_flag: float) -> Draw:
         rows = inst.p
     elif "a" in arrays:
         a = _instance_field(arrays, "a", 2)
+        if min(a.shape) < 2:
+            raise _bad_field("a", f"must be at least 2 x 2, got {a.shape[0]} x {a.shape[1]}")
         if np.any((a != 0) & (a != 1)):
             raise _bad_field("a", "must have entries in {0, 1}")
         q = float(_instance_field(arrays, "q", 0)) if "q" in arrays else q_flag
@@ -220,7 +223,7 @@ def _cmd_experiment(args) -> int:
             mapping = parse_config_text(handle.read())
     mapping = apply_overrides(mapping, args.set or [])
     if args.seed is not None:
-        mapping["master_seed"] = str(args.seed)
+        mapping["master_seed"] = str(check_seed(args.seed))
     elif "master_seed" not in mapping:
         mapping["master_seed"] = str(_env_seed())
     try:

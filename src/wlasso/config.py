@@ -1,12 +1,12 @@
 """Flat `key = value` config files: # comments, comma-separated lists.
 
-The experiment schema lives here so the CLI, the harness, and the round-trip
-dump all agree on types and field order.
+The schema lives on ExperimentConfig: each key's type is its field's
+annotation, and the dump lists the fields in declaration order.
 """
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Iterable
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 from .experiments import ExperimentConfig
 
@@ -40,49 +40,18 @@ def _split_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
-_INT_FIELDS = {"p", "s", "n", "trials", "tune_trials", "master_seed", "max_iter"}
-_FLOAT_FIELDS = {"q", "m_coef", "target_l1", "weight_c", "tol_kkt", "support_eps"}
-_BOOL_FIELDS = {"noiseless", "allow_small_gamma"}
-_INT_LIST_FIELDS = {"m_grid", "p_grid"}
-_FLOAT_LIST_FIELDS = {"gamma_grid"}
-_STR_LIST_FIELDS = {"estimators", "weight_kinds"}
-_STR_FIELDS = {"model"}
-
-_ALL_FIELDS = (
-    _INT_FIELDS
-    | _FLOAT_FIELDS
-    | _BOOL_FIELDS
-    | _INT_LIST_FIELDS
-    | _FLOAT_LIST_FIELDS
-    | _STR_LIST_FIELDS
-    | _STR_FIELDS
-)
-
-
 def coerce_experiment_value(key: str, raw: str):
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    if key in _BOOL_FIELDS:
-        return _parse_bool(raw)
-    if key in _INT_LIST_FIELDS:
-        return tuple(int(v) for v in _split_list(raw))
-    if key in _FLOAT_LIST_FIELDS:
-        return tuple(float(v) for v in _split_list(raw))
-    if key in _STR_LIST_FIELDS:
-        return tuple(_split_list(raw))
-    if key in _STR_FIELDS:
-        return raw
-    raise ValueError(f"unknown config key {key!r}")
+    """raw as the type of ExperimentConfig's field key; a tuple splits on commas."""
+    kind = get_type_hints(ExperimentConfig).get(key)
+    if kind is None:
+        raise ValueError(f"unknown config key {key!r}")
+    if get_origin(kind) is tuple:
+        return tuple(get_args(kind)[0](v) for v in _split_list(raw))
+    return _parse_bool(raw) if kind is bool else kind(raw)
 
 
 def experiment_config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    kwargs = {}
-    for key, raw in mapping.items():
-        if key not in _ALL_FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = coerce_experiment_value(key, raw)
+    kwargs = {key: coerce_experiment_value(key, raw) for key, raw in mapping.items()}
     return ExperimentConfig(**kwargs)
 
 

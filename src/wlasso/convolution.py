@@ -41,10 +41,7 @@ class ConvolutionInstance:
     parents: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("need p >= 2")
-        if self.m < 1:
-            raise ValueError("need m >= 1")
+        check_parents(self.p, self.m)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (self.p,):
             raise ValueError("counts must have length p")

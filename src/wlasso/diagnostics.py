@@ -281,7 +281,6 @@ def assumption_report(
     gamma: float,
     theta_used: float,
     rip_s: Optional[int] = None,
-    max_supports: int = 1_000_000,
 ) -> AssumptionReport:
     check_gamma(gamma)
     x_star = np.asarray(x_star, dtype=np.float64)
@@ -290,7 +289,7 @@ def assumption_report(
 
     rip = None
     if rip_s is not None:
-        rip = rip_lower_bruteforce(pair.a_tilde, rip_s, max_supports=max_supports)
+        rip = rip_lower_bruteforce(pair.a_tilde, rip_s)
 
     re_bound = re_valid = None
     if support.size >= 1:

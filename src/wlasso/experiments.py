@@ -9,6 +9,10 @@ then runs each trial once over the tuned gammas.  A sweep runs every trial on
 one process pool (none at one thread).  Aggregation folds results in
 trial-index order, so thread counts and completion order cannot change a
 single output byte.
+
+ExperimentConfig is the schema of a sweep: each setting's name, type, default
+and order live on it once, and config parsing, trial points, estimator keys
+and the dump derive from it.  ExperimentRow is the schema of the CSV.
 """
 from __future__ import annotations
 
@@ -19,27 +23,30 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Optional
+from typing import Optional, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
-from .model import trial_rng
+from .model import check_seed, trial_rng
 from .sensing import MODELS, WEIGHT_KINDS, check_params, draw, surrogate, weights
 from .solver import SolverConfig, detected_support, weighted_lasso, oracle_least_squares
 from .diagnostics import weights_cover
 
-ESTIMATORS = ("ls_oracle", "lasso_two_step", "wlasso_two_step")
+# estimator -> the weight kinds it runs with, in output order
+ESTIMATOR_KINDS = {
+    "ls_oracle": ("none",),
+    "lasso_two_step": ("constant",),
+    "wlasso_two_step": ("nonconstant", "oracle"),
+}
+ESTIMATORS = tuple(ESTIMATOR_KINDS)
 TUNE_INDEX_BASE = 1 << 20
 
-CSV_HEADER = (
-    "model,p,s,m,n,q,estimator,weight_kind,gamma_star,trials,failures,"
-    "nmse_mean,nmse_stderr,coverage_rate,seed"
-)
 
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep's settings; frozen, so a TrialPoint holding it hashes."""
+
     model: str = "convolution"
     p: int = 1000
     s: int = 5
@@ -65,8 +72,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        for name in ("m_grid", "p_grid", "gamma_grid", "estimators", "weight_kinds"):
-            setattr(self, name, tuple(getattr(self, name)))
+        for name, kind in get_type_hints(ExperimentConfig).items():
+            if get_origin(kind) is tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         for grid, label in ((self.m_grid, "m_grid"), (self.p_grid, "p_grid")):
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{label} must be strictly increasing")
@@ -90,12 +98,12 @@ class ExperimentConfig:
         unknown = set(self.weight_kinds) - set(WEIGHT_KINDS)
         if unknown:
             raise ValueError(f"unknown weight kinds {sorted(unknown)}")
-        if "lasso_two_step" in self.estimators and "constant" not in self.weight_kinds:
-            raise ValueError("lasso_two_step needs the constant weight kind")
-        if "wlasso_two_step" in self.estimators and not (
-            set(self.weight_kinds) & {"nonconstant", "oracle"}
-        ):
-            raise ValueError("wlasso_two_step needs nonconstant or oracle weights")
+        keyless = set(self.estimators) - {est for est, _ in estimator_keys(self)}
+        if keyless:
+            raise ValueError("; ".join(
+                f"{est} needs weight kind {' or '.join(ESTIMATOR_KINDS[est])}"
+                for est in sorted(keyless)
+            ))
         if self.m_coef <= 0:
             raise ValueError("m_coef must be positive")
         self._check_ranges()
@@ -106,6 +114,7 @@ class ExperimentConfig:
         points += [(p, _m_at(self, p), {"p": "p_grid", "m": "p_grid"}) for p in self.p_grid]
         renamed: dict = {}
         try:
+            check_seed(self.master_seed, "master_seed")
             for gamma in self.gamma_grid:
                 _solver_config(self, gamma)
             for p, m, renamed in points:
@@ -130,36 +139,21 @@ def _m_at(cfg: ExperimentConfig, p: int) -> int:
 
 @dataclass(frozen=True)
 class TrialPoint:
-    """One fully resolved grid point; picklable so trials can cross processes."""
+    """The grid point at (p, m) of a sweep; hashable and picklable, so trials
+    can cross processes.  Every other setting is cfg's."""
 
-    model: str
+    cfg: ExperimentConfig
     p: int
-    s: int
     m: int
-    n: int
-    q: float
-    target_l1: float
-    estimators: tuple[str, ...]
-    weight_kinds: tuple[str, ...]
-    weight_c: float
-    noiseless: bool
-    master_seed: int
-    tol_kkt: float
-    max_iter: int
-    support_eps: float
 
 
-def _point(cfg: ExperimentConfig, p: int, m: int) -> TrialPoint:
-    """The grid point at (p, m); every other field is the config's."""
-    shared = {f.name: getattr(cfg, f.name) for f in fields(TrialPoint) if f.name != "m"}
-    return TrialPoint(**dict(shared, p=p, m=m))
-
-
-def estimator_keys(point: TrialPoint) -> list[tuple[str, str]]:
-    """(estimator, weight_kind) pairs a point produces, in output order."""
-    keys = [("ls_oracle", "none"), ("lasso_two_step", "constant")]
-    keys += [("wlasso_two_step", k) for k in ("nonconstant", "oracle") if k in point.weight_kinds]
-    return [key for key in keys if key[0] in point.estimators]
+def estimator_keys(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+    """(estimator, weight_kind) pairs a config produces, in output order."""
+    return [
+        (est, kind)
+        for est, kinds in ESTIMATOR_KINDS.items() if est in cfg.estimators
+        for kind in kinds if kind == "none" or kind in cfg.weight_kinds
+    ]
 
 
 @dataclass
@@ -179,19 +173,20 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     cold start, so its numbers do not depend on the other gammas.  Each
     distinct support is refit once: the same columns give the same bits.
     """
-    rng = trial_rng(point.master_seed, trial_index)
+    cfg = point.cfg
+    rng = trial_rng(cfg.master_seed, trial_index)
     inst, y, x_star, support = draw(
-        point.model, point.p, point.s, point.target_l1, rng,
-        m=point.m, n=point.n, q=point.q, noiseless=point.noiseless,
+        cfg.model, point.p, cfg.s, cfg.target_l1, rng,
+        m=point.m, n=cfg.n, q=cfg.q, noiseless=cfg.noiseless,
     )
     pair = surrogate(inst, y)
 
-    keys = estimator_keys(point)
+    keys = estimator_keys(cfg)
     built: dict = {}
     coverage: dict = {}
     for kind in dict.fromkeys(k for _, k in keys if k != "none"):
         try:
-            built[kind] = weights(kind, inst, pair, y, x_star, c=point.weight_c)
+            built[kind] = weights(kind, inst, pair, y, x_star, c=cfg.weight_c)
             coverage[kind] = weights_cover(pair, x_star, built[kind]).passed
         except Exception as exc:  # noqa: BLE001 - fails each of its cells below
             built[kind] = exc
@@ -211,12 +206,12 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
             return refit(support)
         if isinstance(built[kind], Exception):
             raise built[kind]
-        result = weighted_lasso(pair, built[kind], _solver_config(point, gamma))
+        result = weighted_lasso(pair, built[kind], _solver_config(cfg, gamma))
         if not result.converged:
             raise NonConvergenceError(result.iterations, result.kkt_residual)
-        return refit(detected_support(result.x_hat, point.support_eps))
+        return refit(detected_support(result.x_hat, cfg.support_eps))
 
-    denom = point.target_l1 if point.target_l1 > 0 else 1.0
+    denom = cfg.target_l1 if cfg.target_l1 > 0 else 1.0
     nmse: dict = {}
     failures: dict = {}
     cells = [k + (0.0,) for k in keys if k[0] == "ls_oracle"]
@@ -230,15 +225,12 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     return TrialOutcome(nmse=nmse, coverage=coverage, failures=failures)
 
 
-def _solver_config(settings, gamma: float) -> SolverConfig:
-    """The solve settings of a config or point at gamma; gamma <= 2 does not warn."""
+def _solver_config(cfg: ExperimentConfig, gamma: float) -> SolverConfig:
+    """The solve settings of a config at gamma; gamma <= 2 does not warn."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return SolverConfig(
-            gamma=gamma,
-            tol_kkt=settings.tol_kkt,
-            max_iter=settings.max_iter,
-            support_eps=settings.support_eps,
+            gamma=gamma, tol_kkt=cfg.tol_kkt, max_iter=cfg.max_iter, support_eps=cfg.support_eps,
         )
 
 
@@ -249,14 +241,15 @@ def _map_trials(point, indices, gammas, pool) -> list[TrialOutcome]:
 
 
 def tune_gamma(
-    cfg: ExperimentConfig, point: TrialPoint, pool: Optional[Executor] = None
+    point: TrialPoint, pool: Optional[Executor] = None
 ) -> dict[tuple[str, str], Optional[float]]:
     """Pick gamma per estimator on a disjoint tuning block; ties go small.
 
     Every gamma is scored on the same trials: those the estimator finished at
     every gamma of the grid.  If there are none, its gamma is None (untuned).
     """
-    keys = [k for k in estimator_keys(point) if k[0] != "ls_oracle"]
+    cfg = point.cfg
+    keys = [k for k in estimator_keys(cfg) if k[0] != "ls_oracle"]
     out = {("ls_oracle", "none"): 0.0}
     if not keys:
         return out
@@ -296,17 +289,19 @@ class ExperimentRow:
     seed: int
 
 
-def run_point(
-    cfg: ExperimentConfig, point: TrialPoint, pool: Optional[Executor] = None
-) -> list[ExperimentRow]:
-    gamma_star = tune_gamma(cfg, point, pool)
-    keys = estimator_keys(point)
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
+
+
+def run_point(point: TrialPoint, pool: Optional[Executor] = None) -> list[ExperimentRow]:
+    cfg = point.cfg
+    gamma_star = tune_gamma(point, pool)
+    keys = estimator_keys(cfg)
     gammas = tuple(sorted(
         {g for k, g in gamma_star.items() if k[0] != "ls_oracle" and g is not None}
     ))
     outcomes = _map_trials(point, range(cfg.trials), gammas, pool)
 
-    convolution = point.model == "convolution"
+    convolution = cfg.model == "convolution"
     rows = []
     for est, kind in keys:
         g_star = gamma_star[(est, kind)]
@@ -327,12 +322,12 @@ def run_point(
             mean = stderr = cov = None
         rows.append(
             ExperimentRow(
-                model=point.model,
+                model=cfg.model,
                 p=point.p,
-                s=point.s,
+                s=cfg.s,
                 m=point.m if convolution else None,
-                n=point.p if convolution else point.n,
-                q=None if convolution else point.q,
+                n=point.p if convolution else cfg.n,
+                q=None if convolution else cfg.q,
                 estimator=est,
                 weight_kind=kind,
                 gamma_star=g_star,
@@ -347,25 +342,25 @@ def run_point(
     return rows
 
 
-def _sweep(cfg: ExperimentConfig, points, threads: int) -> list[ExperimentRow]:
+def _sweep(points, threads: int) -> list[ExperimentRow]:
     """Rows of every point in order, on one process pool (none at threads = 1)."""
     if threads < 0:
         raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
     workers = threads or os.cpu_count() or 1
     with nullcontext() if threads == 1 else ProcessPoolExecutor(workers) as pool:
-        return [row for point in points for row in run_point(cfg, point, pool)]
+        return [row for point in points for row in run_point(point, pool)]
 
 
 def run_mse_vs_m(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
     """Error-versus-parents sweep; rows appear in increasing m."""
     if cfg.model != "convolution":
         raise ParameterError("m_grid", "needs model = convolution", cfg.model)
-    return _sweep(cfg, [_point(cfg, cfg.p, m) for m in cfg.m_grid], threads)
+    return _sweep([TrialPoint(cfg, cfg.p, m) for m in cfg.m_grid], threads)
 
 
 def run_mse_vs_p(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
     """Error-versus-dimension sweep; convolution derives m from the m rule."""
-    return _sweep(cfg, [_point(cfg, p, _m_at(cfg, p)) for p in cfg.p_grid], threads)
+    return _sweep([TrialPoint(cfg, p, _m_at(cfg, p)) for p in cfg.p_grid], threads)
 
 
 def _fmt_float(x: Optional[float]) -> str:

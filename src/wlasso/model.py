@@ -40,6 +40,13 @@ import numpy.random  # noqa: F401
 from .errors import MemoryGuardError, ParameterError
 
 
+def check_seed(seed: int, name: str = "seed") -> int:
+    """A master seed must be >= 0, as numpy's SeedSequence requires."""
+    if seed < 0:
+        raise ParameterError(name, "must be >= 0", seed)
+    return seed
+
+
 def trial_rng(master_seed: int, trial_index: int = 0) -> np.random.Generator:
     """Independent stream for one trial, a pure function of (seed, index).
 
@@ -208,11 +215,11 @@ class Circulant:
         doubled = np.tile(self.generator, 2)  # roll(c, k) is doubled[p - k : 2p - k]
         return np.stack([doubled[p - k : 2 * p - k] for k in index], axis=1)
 
-    def materialize(self, max_p: int = 4096) -> np.ndarray:
-        """Dense copy, guarded against p x p blow-up."""
+    def materialize(self) -> np.ndarray:
+        """Dense copy, refused above GRAM_MAX_P columns."""
         p = self.generator.size
-        if p > max_p:
-            raise MemoryGuardError(f"refusing to materialize p = {p} > {max_p}")
+        if p > GRAM_MAX_P:
+            raise MemoryGuardError(f"refusing to materialize p = {p} > {GRAM_MAX_P}")
         idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
         return self.generator[idx]
 
@@ -260,7 +267,7 @@ class Dense:
     def columns(self, index) -> np.ndarray:
         return self.dense[:, index]
 
-    def materialize(self, max_p: int = 4096) -> np.ndarray:
+    def materialize(self) -> np.ndarray:
         """Copy of the stored matrix; nothing new is allocated to guard."""
         return np.array(self.dense)
 

@@ -22,7 +22,9 @@ from wlasso.concentration import (
     variance_envelope,
 )
 import wlasso.model
-from wlasso.errors import EnumerationGuardError, MemoryGuardError, RegimeViolationError
+from wlasso.errors import (
+    EnumerationGuardError, MemoryGuardError, ParameterError, RegimeViolationError,
+)
 from wlasso.model import deviation_at_truth, make_sparse_signal, sample_poisson, trial_rng
 
 
@@ -52,7 +54,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             BernoulliInstance(n=5, p=3, q=0.5, a=np.zeros((4, 3)), column_sums=np.zeros(3))
         with pytest.raises(ValueError, match="0, 1"):
-            BernoulliInstance(n=2, p=1, q=0.5, a=[[1.0], [0.5]], column_sums=[1.5])
+            BernoulliInstance(n=2, p=2, q=0.5, a=[[1.0, 0.0], [0.5, 1.0]], column_sums=[1.5, 1.0])
+
+    def test_one_column_is_rejected_as_p(self):
+        # the default theta 3 log p is 0 at p = 1
+        with pytest.raises(ParameterError, match="^p must be >= 2"):
+            sample_bernoulli_matrix(500, 1, 0.5, trial_rng(0))
+        with pytest.raises(ParameterError, match="^p must be >= 2"):
+            BernoulliInstance(n=2, p=1, q=0.5, a=[[1.0], [0.0]], column_sums=[1.0])
 
 
 class TestMomentOracles:
@@ -163,7 +172,7 @@ class TestPairWeight:
         # the co-occurrence form rounds nothing, so it matches a^T (n a - S)^2
         rng = trial_rng(9)
         for q in (0.002, 0.03, 0.3, 0.5, 0.7, 0.97, 0.998):
-            for n, p in ((2, 1), (2, 7), (50, 13), (400, 30)):
+            for n, p in ((2, 2), (2, 7), (50, 13), (400, 30)):
                 inst = sample_bernoulli_matrix(n, p, q, rng)
                 direct = inst.a.T @ (n * inst.a - inst.column_sums) ** 2
                 direct /= (n * (n - 1) * q * (1 - q)) ** 2

@@ -168,8 +168,12 @@ class TestInstanceValidation:
         ("convolution", "counts", np.array([1, -1, 2])),
         ("bernoulli", "a", 3.7 * sample_bernoulli_matrix(200, 10, 0.5, trial_rng(0)).a),
         ("bernoulli", "q", np.float64(1.5)),
+        ("bernoulli", "a", np.ones((1, 10))),
+        ("bernoulli", "a", np.ones((200, 1))),
+        ("bernoulli", "a", np.ones((200, 0))),
     ], ids=["x_star-length", "y-negative", "y-not-1d", "y-not-finite", "y-length",
-            "counts-negative", "a-not-binary", "q-outside"])
+            "counts-negative", "a-not-binary", "q-outside", "a-one-row", "a-one-column",
+            "a-no-columns"])
     def test_malformed_file_is_usage_error(self, model, key, value, tmp_path, capsys):
         path = tmp_path / "bad.npz"
         if model == "convolution":
@@ -192,6 +196,7 @@ class TestInstanceFlags:
         (["weights", "--model", "bernoulli", "--q", "1.5", "--p", "20", "--n", "500"], "--q"),
         (["weights", "--model", "bernoulli", "--n", "1", "--p", "20"], "--n"),
         (["weights", "--model", "bernoulli", "--p", "0", "--s", "0", "--l1", "0"], "--p"),
+        (["weights", "--model", "bernoulli", "--p", "1", "--s", "1", "--n", "500"], "--p"),
         (["solve", "--p", "1"], "--s"),
         (["solve", "--p", "1", "--s", "1"], "--p"),
         (["solve", "--p", "50", "--m", "0"], "--m"),
@@ -215,12 +220,17 @@ class TestInstanceFlags:
         (["concentration-test", "--n", "0"], "--n"),
         (["diagnose", "--rip-s", "0"], "--rip-s"),
         (["diagnose", "--rip-s", "300"], "--rip-s"),
-    ], ids=["q-outside", "n-small", "bernoulli-p-zero", "s-above-p-1", "p-small", "m-zero",
+        (["solve", "--seed", "-1"], "--seed"),
+        (["concentration-test", "--seed", "-1"], "--seed"),
+        (["experiment", "--seed", "-3", "--set", "m_grid=6"], "--seed"),
+    ], ids=["q-outside", "n-small", "bernoulli-p-zero", "bernoulli-p-one", "s-above-p-1",
+            "p-small", "m-zero",
             "s-above-p", "l1-without-s", "l1-negative", "l1-infinite", "theta-negative",
             "theta-zero", "gamma-negative", "gamma-nan", "diagnose-gamma-negative",
             "c-negative", "solve-c-negative", "c-nan", "diagnose-oracle-theta",
             "solve-oracle-theta", "trials-zero", "intensity-negative", "intensity-nan",
-            "conc-n-zero", "rip-s-zero", "rip-s-above-p"])
+            "conc-n-zero", "rip-s-zero", "rip-s-above-p", "seed-negative",
+            "conc-seed-negative", "experiment-seed-negative"])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1, err
@@ -438,9 +448,11 @@ class TestExperiment:
         (BERNOULLI_CFG, ["weight_c=-5"], "weight_c"),
         (BERNOULLI_CFG, ["weight_c=inf"], "weight_c"),
         (BERNOULLI_CFG, ["p_grid=", "m_grid=10"], "m_grid"),
+        (BERNOULLI_CFG, ["p_grid=1", "s=1"], "p_grid"),
+        (SWEEP_CFG, ["master_seed=-3"], "master_seed"),
     ], ids=["max_iter", "tol_kkt", "support_eps", "s", "target_l1", "p", "gamma_grid",
             "p_grid-m-zero", "q", "weight_c-negative", "weight_c-infinite",
-            "m_grid-bernoulli"])
+            "m_grid-bernoulli", "bernoulli-p_grid-one", "master_seed-negative"])
     def test_out_of_range_key_is_usage_error(self, cfg_text, overrides, key, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(cfg_text)
@@ -451,6 +463,17 @@ class TestExperiment:
         assert code == 1, err
         assert out == ""
         assert err.startswith((f"error: {key} ", f"error: {key}: ")), err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["experiment", "--set", "m_grid=6"],
+    ], ids=["solve", "experiment"])
+    def test_negative_env_seed_is_usage_error(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("WLASSO_SEED", "-2")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert out == ""
+        assert err.startswith("error: WLASSO_SEED "), err
 
     def test_missing_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(["experiment"], capsys)

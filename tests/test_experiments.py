@@ -1,9 +1,11 @@
 """Monte Carlo harness: seeding, tuning, aggregation, CSV stability."""
 
 import os
+import pickle
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -48,24 +50,7 @@ def conv_config(**over):
 
 
 def conv_point(cfg, m=None):
-    m = cfg.m_grid[0] if m is None else m
-    return TrialPoint(
-        model=cfg.model,
-        p=cfg.p,
-        s=cfg.s,
-        m=m,
-        n=cfg.n,
-        q=cfg.q,
-        target_l1=cfg.target_l1,
-        estimators=cfg.estimators,
-        weight_kinds=cfg.weight_kinds,
-        weight_c=cfg.weight_c,
-        noiseless=cfg.noiseless,
-        master_seed=cfg.master_seed,
-        tol_kkt=cfg.tol_kkt,
-        max_iter=cfg.max_iter,
-        support_eps=cfg.support_eps,
-    )
+    return TrialPoint(cfg, cfg.p, cfg.m_grid[0] if m is None else m)
 
 
 def bern_point():
@@ -74,7 +59,7 @@ def bern_point():
 
 def cells(point, gamma):
     """The outcome keys of a run at one gamma: ls_oracle sits at gamma 0."""
-    return [key + (0.0 if key[0] == "ls_oracle" else gamma,) for key in estimator_keys(point)]
+    return [key + (0.0 if key[0] == "ls_oracle" else gamma,) for key in estimator_keys(point.cfg)]
 
 
 class TestConfig:
@@ -120,11 +105,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             conv_config(tune_trials=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^master_seed must be >= 0"):
+            conv_config(master_seed=-1)
+
+    def test_frozen(self):
+        cfg = conv_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.trials = 7
+
+
+class TestTrialPoint:
+    def test_equal_points_hash_equal(self):
+        # perfbench's draw_reuse_ratio counts distinct (point, trial index) keys
+        a, b = conv_point(conv_config()), conv_point(conv_config())
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, conv_point(conv_config(), m=16)}) == 2
+
+    def test_survives_pickle(self):
+        # pool workers receive each point pickled
+        point = conv_point(conv_config(weight_kinds=["constant", "nonconstant"]))
+        again = pickle.loads(pickle.dumps(point))
+        assert again == point and hash(again) == hash(point)
+        assert again.cfg.weight_kinds == ("constant", "nonconstant")
+
 
 class TestEstimatorKeys:
     def test_order_and_expansion(self):
         cfg = conv_config(weight_kinds=("constant", "nonconstant", "oracle"))
-        keys = estimator_keys(conv_point(cfg))
+        keys = estimator_keys(cfg)
         assert keys == [
             ("ls_oracle", "none"),
             ("lasso_two_step", "constant"),
@@ -134,7 +143,7 @@ class TestEstimatorKeys:
 
     def test_subset(self):
         cfg = conv_config(estimators=("wlasso_two_step",), weight_kinds=("oracle",))
-        assert estimator_keys(conv_point(cfg)) == [("wlasso_two_step", "oracle")]
+        assert estimator_keys(cfg) == [("wlasso_two_step", "oracle")]
 
 
 class TestRunTrial:
@@ -208,9 +217,10 @@ class TestRunTrial:
             supports.clear()
             refits.clear()
             out = run_trial(point, i, (2.1, 4.0))
+            cfg = point.cfg
             supports.append(draw(
-                point.model, point.p, point.s, point.target_l1, trial_rng(point.master_seed, i),
-                m=point.m, n=point.n, q=point.q,
+                cfg.model, point.p, cfg.s, cfg.target_l1, trial_rng(cfg.master_seed, i),
+                m=point.m, n=cfg.n, q=cfg.q,
             ).support.tobytes())
             distinct = {key for key in supports if key}
             assert len(supports) > len(distinct) > 1
@@ -252,7 +262,7 @@ class TestRunTrial:
 class TestTuneGamma:
     def test_values_come_from_grid(self):
         cfg = conv_config()
-        got = tune_gamma(cfg, conv_point(cfg))
+        got = tune_gamma(conv_point(cfg))
         assert got[("ls_oracle", "none")] == 0.0
         for key, g in got.items():
             if key[0] != "ls_oracle":
@@ -260,7 +270,7 @@ class TestTuneGamma:
 
     def test_single_element_grid_shortcut(self):
         cfg = conv_config(gamma_grid=(4.0,))
-        got = tune_gamma(cfg, conv_point(cfg))
+        got = tune_gamma(conv_point(cfg))
         assert got[("wlasso_two_step", "nonconstant")] == 4.0
 
     def test_ties_break_small_on_noiseless_oracle(self):
@@ -273,7 +283,7 @@ class TestTuneGamma:
             gamma_grid=(2.5, 4.0),
             m_grid=(16,),
         )
-        got = tune_gamma(cfg, conv_point(cfg))
+        got = tune_gamma(conv_point(cfg))
         assert got[("wlasso_two_step", "oracle")] == 2.5
 
     def test_gammas_compared_on_trials_finished_at_every_gamma(self, monkeypatch):
@@ -292,9 +302,9 @@ class TestTuneGamma:
         monkeypatch.setattr(wlasso.experiments, "_map_trials", fake_map)
         cfg = conv_config(tune_trials=2, estimators=("lasso_two_step",),
                           weight_kinds=("constant",))
-        assert tune_gamma(cfg, conv_point(cfg))[key] == 2.1
+        assert tune_gamma(conv_point(cfg))[key] == 2.1
         nmse[4.0] = (None, None)
-        assert tune_gamma(cfg, conv_point(cfg))[key] is None
+        assert tune_gamma(conv_point(cfg))[key] is None
 
     def test_stability_across_disjoint_splits(self):
         # Two disjoint 100-trial tuning splits per repetition.  After the
@@ -321,7 +331,7 @@ class TestTuneGamma:
                 weight_kinds=("nonconstant",),
             )
             point = conv_point(cfg, m=30)
-            first = tune_gamma(cfg, point)[key]
+            first = tune_gamma(point)[key]
             outcomes = [run_trial(point, TUNE_INDEX_BASE + 100 + j, grid) for j in range(100)]
             means = [np.mean([o.nmse[key + (gamma,)] for o in outcomes]) for gamma in grid]
             second = grid[int(np.argmin(means))]
@@ -335,8 +345,8 @@ class TestTuneGamma:
 class TestRunPoint:
     def test_row_shape_convolution(self):
         cfg = conv_config()
-        rows = run_point(cfg, conv_point(cfg, m=16))
-        keys = estimator_keys(conv_point(cfg, m=16))
+        rows = run_point(conv_point(cfg, m=16))
+        keys = estimator_keys(cfg)
         assert [(r.estimator, r.weight_kind) for r in rows] == keys
         for r in rows:
             assert r.model == "convolution"
@@ -348,7 +358,7 @@ class TestRunPoint:
 
     def test_ls_oracle_row_conventions(self):
         cfg = conv_config()
-        rows = run_point(cfg, conv_point(cfg))
+        rows = run_point(conv_point(cfg))
         ls = next(r for r in rows if r.estimator == "ls_oracle")
         assert ls.weight_kind == "none"
         assert ls.gamma_star == 0.0
@@ -356,7 +366,7 @@ class TestRunPoint:
 
     def test_row_shape_bernoulli(self):
         cfg = conv_config(model="bernoulli", p=40, n=300, q=0.5, m_grid=())
-        rows = run_point(cfg, conv_point(cfg, m=0))
+        rows = run_point(conv_point(cfg, m=0))
         for r in rows:
             assert r.m is None and r.q == 0.5 and r.n == 300
 
@@ -371,7 +381,7 @@ class TestRunPoint:
 
         monkeypatch.setattr(wlasso.experiments, "draw", counting_draw)
         cfg = conv_config(gamma_grid=(2.1, 3.0, 4.0))
-        run_point(cfg, conv_point(cfg, m=16))
+        run_point(conv_point(cfg, m=16))
         assert len(calls) == cfg.tune_trials + cfg.trials
 
 
@@ -389,7 +399,7 @@ class TestSweeps:
     def test_rows_grouped_by_increasing_m(self):
         cfg = conv_config()
         rows = run_mse_vs_m(cfg)
-        per_point = len(estimator_keys(conv_point(cfg)))
+        per_point = len(estimator_keys(cfg))
         ms = [r.m for r in rows]
         assert ms == [8] * per_point + [16] * per_point
 
@@ -499,7 +509,7 @@ class TestCsv:
 
     def test_field_layout(self):
         cfg = conv_config()
-        text = rows_to_csv(run_point(cfg, conv_point(cfg)))
+        text = rows_to_csv(run_point(conv_point(cfg)))
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         first = lines[1].split(",")
@@ -509,7 +519,7 @@ class TestCsv:
 
     def test_float_format_is_compact(self):
         cfg = conv_config()
-        text = rows_to_csv(run_point(cfg, conv_point(cfg)))
+        text = rows_to_csv(run_point(conv_point(cfg)))
         # gamma column renders 2.1 as written, not 2.1000000000
         assert ",2.1," in text or ",4," in text
 

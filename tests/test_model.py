@@ -255,10 +255,11 @@ class TestCirculantAlgebra:
         mat = op.materialize()
         assert np.allclose(op.gram_generator(), (mat.T @ mat)[:, 0], atol=1e-12)
 
-    def test_materialize_guard(self):
+    def test_materialize_guard(self, monkeypatch):
+        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 50)
         op = Circulant(np.ones(100))
         with pytest.raises(MemoryGuardError):
-            op.materialize(max_p=50)
+            op.materialize()
 
 
 class TestGram:
