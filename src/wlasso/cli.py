@@ -26,7 +26,7 @@ from .config import (
 from .concentration import check_theta, tail_coverage_test
 from .diagnostics import assumption_report
 from .errors import ParameterError, WeightKindError
-from .experiments import run_mse_vs_m, run_mse_vs_p, rows_to_csv
+from .experiments import ESTIMATOR_KINDS, run_mse_vs_m, run_mse_vs_p, rows_to_csv
 from .model import check_seed, trial_rng
 from .sensing import (
     MODELS,
@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
         w = weights(kind, inst, pair, y, x_star, args.theta, args.c)
         result = weighted_lasso(pair, w, config)
         _, x_two = two_step(result.x_hat, pair, config.support_eps)
-        est = "lasso_two_step" if kind == "constant" else "wlasso_two_step"
+        est = next(e for e, ks in ESTIMATOR_KINDS.items() if kind in ks)
         parts = [
             f"estimator={est}",
             f"weight_kind={kind}",

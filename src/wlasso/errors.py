@@ -10,7 +10,7 @@ class DegenerateColumnError(ValueError):
 
 
 class SingularDesignError(ValueError):
-    """Least-squares submatrix is numerically rank deficient."""
+    """The columns of a least-squares support are numerically rank deficient."""
 
     def __init__(self, sigma_min: float, sigma_max: float):
         self.sigma_min = sigma_min

@@ -171,7 +171,7 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     The draw, the surrogate pair, the weights, their coverage and ls_oracle do
     not depend on gamma, so each is built once; every gamma is solved from a
     cold start, so its numbers do not depend on the other gammas.  Each
-    distinct support is refit once: the same columns give the same bits.
+    distinct support is refit once: the same Gram block gives the same bits.
     """
     cfg = point.cfg
     rng = trial_rng(cfg.master_seed, trial_index)

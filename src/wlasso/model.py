@@ -1,7 +1,7 @@
 """Ground-truth signals, Poisson observations, and the linear operators they share.
 
-Two operator classes share one surface (apply, adjoint, columns, materialize,
-gram): Dense stores the matrix, Circulant only its generator column c, with
+Two operator classes share one surface (apply, adjoint, materialize, gram):
+Dense stores the matrix, Circulant only its generator column c, with
 entry (l, k) equal to c[(l - k) mod p].  Each owns its Gram matrix A^T A,
 computed once per operator: a zero-copy strided view for a circulant, a p x p
 matrix, guarded at GRAM_MAX_P columns, for a dense design; a dense design may
@@ -11,7 +11,8 @@ diagnostics.gram_deviation branches on the class, to read a circulant Gram
 from its generator without allocating p x p floats.
 
 A SurrogatePair holds its observations read-only and caches the score at zero,
-aty = A^T y, so the solver's every score, aty - A^T A x, comes from Gram rows.
+aty = A^T y, so the solver's every score, aty - A^T A x, comes from Gram rows,
+and its least-squares refit on a support from the Gram block of that support.
 
 Every circulant product goes through cyclic_convolve (cyclic_correlate reverses
 one operand and calls it).  The DFT diagonalises a circulant matrix, so a dense
@@ -210,11 +211,6 @@ class Circulant:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return cyclic_correlate(self.generator, y)
 
-    def columns(self, index) -> np.ndarray:
-        p = self.generator.size
-        doubled = np.tile(self.generator, 2)  # roll(c, k) is doubled[p - k : 2p - k]
-        return np.stack([doubled[p - k : 2 * p - k] for k in index], axis=1)
-
     def materialize(self) -> np.ndarray:
         """Dense copy, refused above GRAM_MAX_P columns."""
         p = self.generator.size
@@ -263,9 +259,6 @@ class Dense:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.dense.T @ y
-
-    def columns(self, index) -> np.ndarray:
-        return self.dense[:, index]
 
     def materialize(self) -> np.ndarray:
         """Copy of the stored matrix; nothing new is allocated to guard."""

@@ -12,6 +12,7 @@ coordinates in one vectorised KKT check before it stops (strong rules,
 Tibshirani et al. 2012; Celer, Massias et al. 2018).  The design itself is
 read once per solve, for the residual behind the objective and the duality
 gap; kkt_check alone recomputes the score through the design and its adjoint.
+The least-squares refit reads only gram and aty.
 """
 from __future__ import annotations
 
@@ -257,10 +258,14 @@ def _working_set(x, score, thresholds) -> list:
     return np.flatnonzero((x != 0.0) | (np.abs(score) > thresholds)).tolist()
 
 
-def oracle_least_squares(
-    pair: SurrogatePair, support, rank_tol: float = 1e-10
-) -> np.ndarray:
-    """Least squares restricted to a known support, zero elsewhere."""
+def oracle_least_squares(pair: SurrogatePair, support) -> np.ndarray:
+    """Least squares on a known support S, zero elsewhere: gram[S, S] c = aty[S].
+
+    Reads only the cached gram and aty, so it applies no design product.  Refuses
+    (SingularDesignError) when the block has lambda_min <= 1e-12 lambda_max, i.e.
+    column sigma_min / sigma_max <= 1e-6: the eigenvalues square the column
+    ratio, and float64 resolves them only to about 1e-16 lambda_max.
+    """
     support = np.asarray(support, dtype=np.int64)
     if support.ndim != 1 or support.size == 0:
         raise ValueError("support must be a nonempty index vector")
@@ -270,12 +275,13 @@ def oracle_least_squares(
     p = pair.a_tilde.n_cols
     if support.min() < 0 or support.max() >= p:
         raise ValueError("support indices out of range")
-    cols = pair.a_tilde.columns(support)
-    coef, _, _, sings = np.linalg.lstsq(cols, pair.y_tilde, rcond=None)
-    if sings[-1] <= rank_tol * sings[0]:
-        raise SingularDesignError(float(sings[-1]), float(sings[0]))
+    block = pair.a_tilde.gram[np.ix_(support, support)]
+    eigs = np.linalg.eigvalsh(block)
+    if eigs[0] <= 1e-12 * eigs[-1]:
+        sigma = np.sqrt(np.maximum(eigs, 0.0))
+        raise SingularDesignError(float(sigma[0]), float(sigma[-1]))
     x = np.zeros(p)
-    x[support] = coef
+    x[support] = np.linalg.solve(block, pair.aty[support])
     return x
 
 

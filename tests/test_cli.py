@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wlasso.cli
+import wlasso.model
 from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.cli import main
 from wlasso.convolution import sample_parents, sensing_operator
@@ -146,6 +147,32 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert "oracle weights need x_star" in err
+        assert calls == []
+
+    def test_estimator_names_follow_estimator_kinds(self, capsys):
+        code, out, _ = run_cli(
+            ["solve", "--p", "60", "--m", "15", "--s", "3", "--seed", "2",
+             "--weights", "oracle,constant"],
+            capsys,
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[1].startswith("estimator=wlasso_two_step weight_kind=oracle")
+        assert lines[2].startswith("estimator=lasso_two_step weight_kind=constant")
+
+    def test_wide_dense_stops_at_ls_oracle(self, monkeypatch, capsys):
+        # a dense refit reads the design's Gram, which the guard refuses
+        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 10)
+        calls = []
+        monkeypatch.setattr(wlasso.cli, "weighted_lasso", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(
+            ["solve", "--model", "bernoulli", "--p", "12", "--n", "500", "--s", "2",
+             "--l1", "20", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: MemoryGuardError") and "p = 12" in err
         assert calls == []
 
     def test_reads_bernoulli_instance_file(self, tmp_path, capsys):

@@ -313,14 +313,6 @@ class TestOperatorValidation:
         with pytest.raises(ValueError):
             Dense(np.ones(3))
 
-    def test_columns_match_materialized(self):
-        rng = trial_rng(5)
-        circ = Circulant(rng.normal(size=8))
-        dense = Dense(circ.materialize())
-        idx = np.array([0, 3, 7])
-        assert np.array_equal(circ.columns(idx), circ.materialize()[:, idx])
-        assert np.array_equal(dense.columns(idx), circ.materialize()[:, idx])
-
     def test_shapes(self):
         op = Dense(np.ones((4, 6)))
         assert op.n_rows == 4 and op.n_cols == 6

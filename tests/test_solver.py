@@ -443,6 +443,64 @@ class TestRefitting:
         with pytest.raises(SingularDesignError):
             oracle_least_squares(pair, np.array([0, 1]))
 
+    @staticmethod
+    def assert_matches_lstsq(pair, support, cols, rtol=1e-9):
+        want = np.linalg.lstsq(cols, pair.y_tilde, rcond=None)[0]
+        got = oracle_least_squares(pair, support)
+        assert np.linalg.norm(got[support] - want) <= rtol * np.linalg.norm(want)
+        assert np.count_nonzero(np.delete(got, support)) == 0
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    @pytest.mark.parametrize("p", [50, 300])
+    def test_gram_refit_matches_lstsq(self, model, p):
+        for seed in range(3):
+            pair, _ = model_instance(model, p, seed)
+            support = trial_rng(seed + 60).choice(p, 3 if p == 50 else 15, replace=False)
+            self.assert_matches_lstsq(pair, support, pair.a_tilde.materialize()[:, support])
+
+    def test_gram_refit_matches_lstsq_circulant_p5000(self):
+        rng = trial_rng(9)
+        inst, y, _, support = draw("convolution", 5000, 50, 100.0, rng, m=1280, n=0, q=0.5)
+        pair = surrogate(inst, y)
+        c = pair.a_tilde.generator  # column k of a circulant is roll(c, k)
+        self.assert_matches_lstsq(pair, support, np.stack([np.roll(c, k) for k in support], axis=1))
+
+    @staticmethod
+    def two_column_pair(ratio):
+        """A 20 x 2 design whose columns have sigma_min / sigma_max = ratio."""
+        rng = trial_rng(39)
+        u, _ = np.linalg.qr(rng.normal(size=(20, 2)))
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        mat = u @ np.diag([1.0, ratio]) @ v.T
+        return SurrogatePair(Dense(mat), rng.normal(size=20)), mat
+
+    def test_guard_refuses_column_ratio_1e_8(self):
+        pair, mat = self.two_column_pair(1e-8)
+        sings = np.linalg.svd(mat, compute_uv=False)
+        assert sings[-1] > 1e-10 * sings[0]  # a 1e-10 singular-value rule would accept it
+        with pytest.raises(SingularDesignError) as exc:
+            oracle_least_squares(pair, np.array([0, 1]))
+        assert exc.value.sigma_max == pytest.approx(1.0)
+        assert exc.value.sigma_min <= 1e-6
+
+    def test_guard_accepts_column_ratio_1e_4(self):
+        pair, mat = self.two_column_pair(1e-4)
+        self.assert_matches_lstsq(pair, np.array([0, 1]), mat, rtol=1e-6)
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_refit_applies_no_design_product(self, model, monkeypatch):
+        pair, _ = model_instance(model, 300, 2)
+        pair.a_tilde.gram, pair.aty  # cached, as after a solve
+        calls = count_products(monkeypatch)
+        oracle_least_squares(pair, np.array([4, 90, 211]))
+        assert calls == {"apply": 0, "adjoint": 0}
+
+    def test_wide_dense_refit_needs_gram(self, monkeypatch):
+        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 10)
+        pair = random_dense_pair(40, n=30, p=12)
+        with pytest.raises(MemoryGuardError, match="p = 12"):
+            oracle_least_squares(pair, np.array([0, 5]))
+
     def test_support_validation(self):
         pair = random_dense_pair(33)
         with pytest.raises(ValueError):
