@@ -151,8 +151,9 @@ def _fmt(x: float) -> str:
 
 
 def _nmse(x_hat: np.ndarray, x_star: np.ndarray) -> str:
+    """||x_hat - x*||^2 / ||x*||_1, or over 1 when x* = 0, as run_trial divides."""
     err = x_hat - x_star
-    return _fmt(float(err @ err) / max(float(np.abs(x_star).sum()), 1.0))
+    return _fmt(float(err @ err) / (float(np.abs(x_star).sum()) or 1.0))
 
 
 def _cmd_solve(args) -> int:

@@ -38,24 +38,24 @@ def bernstein_bound(v, b, theta):
     return out if out.ndim else float(out)
 
 
-def variance_envelope(b, r2y, theta):
+def _envelope_root(b, r2y, theta):
+    """(b, theta, sqrt(b^2 theta / 2) + sqrt(5 b^2 theta / 6 + r2y)), checked."""
     theta = check_theta(theta)
     b = np.asarray(b, dtype=np.float64)
     r2y = np.asarray(r2y, dtype=np.float64)
     if np.any(b < 0) or np.any(r2y < 0):
         raise ValueError("b and r2y must be nonnegative")
-    root = np.sqrt(b * b * theta / 2.0) + np.sqrt(5.0 * b * b * theta / 6.0 + r2y)
+    return b, theta, np.sqrt(b * b * theta / 2.0) + np.sqrt(5.0 * b * b * theta / 6.0 + r2y)
+
+
+def variance_envelope(b, r2y, theta):
+    _, _, root = _envelope_root(b, r2y, theta)
     out = root * root
     return out if out.ndim else float(out)
 
 
 def empirical_deviation_bound(b, r2y, theta):
-    theta = check_theta(theta)
-    b = np.asarray(b, dtype=np.float64)
-    r2y = np.asarray(r2y, dtype=np.float64)
-    if np.any(b < 0) or np.any(r2y < 0):
-        raise ValueError("b and r2y must be nonnegative")
-    root = np.sqrt(b * b * theta / 2.0) + np.sqrt(5.0 * b * b * theta / 6.0 + r2y)
+    b, theta, root = _envelope_root(b, r2y, theta)
     out = root * np.sqrt(2.0 * theta) + b * theta / 3.0
     return out if out.ndim else float(out)
 

@@ -1,22 +1,23 @@
 """Checks for the assumptions the guarantees rest on, and the bounds they give.
 
-Everything here is measurement: Gram deviation, restricted-eigenvalue floors,
-weight coverage, the support-screening condition, and the closed-form error
-bounds evaluated at measured quantities.
+Everything here is measurement on a surrogate pair: Gram deviation,
+restricted-eigenvalue floors, weight coverage, the support-screening
+condition, and the closed-form error bounds evaluated at measured quantities.
+None of it asks which sensing model built the pair.  The RE constant that
+assumption_report gives is the one on the cone a weighted-LASSO error lies in,
+which opens by WeightVector.penalty_ratio_bound(gamma) and so needs gamma > 2.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import bernoulli as _bernoulli
-from . import convolution as _convolution
-from .errors import EnumerationGuardError, MemoryGuardError
-from .model import Circulant, Dense, SurrogatePair, cyclic_correlate, deviation_at_truth
+from .errors import EnumerationGuardError
+from .model import Circulant, Dense, SurrogatePair, deviation_at_truth
 from .solver import WeightVector, check_gamma
 
 
@@ -156,89 +157,6 @@ def theoretical_l2_bound(
     )
 
 
-def ustat_check(inst: _convolution.ConvolutionInstance, max_p: int = 2048) -> float:
-    """Max gap between m * (Gram - I) lags of the surrogate design and the
-    degenerate pair statistic computed straight from the counts:
-
-      U(d != 0) = sum_u N(u) N(u+d) - m(m-1)/p
-      U(0)      = sum_u N(u)^2 - m - m(m-1)/p
-    """
-    if inst.p > max_p:
-        raise MemoryGuardError(f"ustat check guarded at p <= {max_p}")
-    g = _convolution_design(inst).gram_generator()
-    lhs = inst.m * g
-    lhs[0] -= inst.m
-    counts = inst.counts.astype(np.float64)
-    u = cyclic_correlate(counts, counts) - inst.m * (inst.m - 1.0) / inst.p
-    u[0] -= inst.m
-    return float(np.abs(lhs - u).max())
-
-
-def _convolution_design(inst: _convolution.ConvolutionInstance) -> Circulant:
-    """The surrogate design A_tilde; it does not depend on the observations."""
-    return _convolution.surrogate_convolution(inst, np.zeros(inst.p)).a_tilde
-
-
-@dataclass
-class GramExpectationReport:
-    """Monte Carlo mean of the surrogate Gram against identity."""
-
-    n_draws: int
-    max_abs_deviation: float
-    max_z: float
-    mean_deviation: np.ndarray
-    stderr: np.ndarray
-
-
-def _gram_expectation(
-    draw_gram: Callable[[np.random.Generator], np.ndarray],
-    n_draws: int,
-    rng: np.random.Generator,
-    p: int,
-) -> GramExpectationReport:
-    if n_draws < 2:
-        raise ValueError("need n_draws >= 2")
-    acc = np.zeros((p, p))
-    acc_sq = np.zeros((p, p))
-    for _ in range(n_draws):
-        g = draw_gram(rng)
-        acc += g
-        acc_sq += g * g
-    mean = acc / n_draws
-    var = np.maximum(acc_sq / n_draws - mean * mean, 0.0) * n_draws / (n_draws - 1)
-    stderr = np.sqrt(var / n_draws)
-    dev = mean - np.eye(p)
-    z = np.abs(dev) / np.where(stderr > 0, stderr, np.inf)
-    return GramExpectationReport(
-        n_draws=n_draws,
-        max_abs_deviation=float(np.abs(dev).max()),
-        max_z=float(z.max()),
-        mean_deviation=dev,
-        stderr=stderr,
-    )
-
-
-def bernoulli_gram_expectation_check(
-    n: int, p: int, q: float, n_draws: int, rng: np.random.Generator
-) -> GramExpectationReport:
-    def draw(r: np.random.Generator) -> np.ndarray:
-        inst = _bernoulli.sample_bernoulli_matrix(n, p, q, r)
-        at = _bernoulli.surrogate_bernoulli(inst, np.zeros(n)).a_tilde.dense
-        return at.T @ at
-
-    return _gram_expectation(draw, n_draws, rng, p)
-
-
-def convolution_gram_expectation_check(
-    p: int, m: int, n_draws: int, rng: np.random.Generator
-) -> GramExpectationReport:
-    def draw(r: np.random.Generator) -> np.ndarray:
-        at = _convolution_design(_convolution.sample_parents(p, m, r)).materialize()
-        return at.T @ at
-
-    return _gram_expectation(draw, n_draws, rng, p)
-
-
 @dataclass
 class AssumptionReport:
     """Everything `diagnose` reports for one instance."""
@@ -287,23 +205,18 @@ def assumption_report(
     xi = gram_deviation(pair.a_tilde)
     support = np.flatnonzero(x_star)
 
-    rip = None
-    if rip_s is not None:
-        rip = rip_lower_bruteforce(pair.a_tilde, rip_s)
-
-    re_bound = re_valid = None
-    if support.size >= 1:
-        re_bound, re_valid = re_constant_from_xi(xi, int(support.size), 0.0)
+    rip = None if rip_s is None else rip_lower_bruteforce(pair.a_tilde, rip_s)
+    re_bound = re_valid = support_pass = support_lhs = support_rhs = None
+    if support.size >= 1 and gamma > 2:
+        re_bound, re_valid = re_constant_from_xi(
+            xi, int(support.size), weights.penalty_ratio_bound(gamma)
+        )
+        if re_valid and re_bound < 1 and support.size < weights.values.size:
+            support_pass, support_lhs, support_rhs = support_condition_check(
+                xi, gamma, re_bound, weights, support
+            )
 
     cover = weights_cover(pair, x_star, weights)
-
-    support_pass = support_lhs = support_rhs = None
-    if 0 < support.size < weights.values.size and gamma > 2:
-        delta = re_bound if (re_valid and re_bound is not None and re_bound < 1) else None
-        if delta is not None:
-            support_pass, support_lhs, support_rhs = support_condition_check(
-                xi, gamma, delta, weights, support
-            )
     return AssumptionReport(
         gram_dev=xi,
         theta_used=theta_used,

@@ -40,7 +40,7 @@ class EnumerationGuardError(ValueError):
 
 
 class MemoryGuardError(ValueError):
-    """Requested dense materialization exceeds the configured size budget."""
+    """A dense Gram matrix would exceed the GRAM_MAX_P column budget."""
 
 
 class WeightKindError(ValueError):

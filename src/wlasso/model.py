@@ -1,8 +1,8 @@
 """Ground-truth signals, Poisson observations, and the linear operators they share.
 
-Two operator classes share one surface (apply, adjoint, materialize, gram):
-Dense stores the matrix, Circulant only its generator column c, with
-entry (l, k) equal to c[(l - k) mod p].  Each owns its Gram matrix A^T A,
+Two operator classes share one surface (apply, adjoint, gram): Dense stores
+the matrix, Circulant only its generator column c, with entry (l, k) equal to
+c[(l - k) mod p], plus gram_generator.  Each owns its Gram matrix A^T A,
 computed once per operator: a zero-copy strided view for a circulant, a p x p
 matrix, guarded at GRAM_MAX_P columns, for a dense design; a dense design may
 say how to build its Gram from something cheaper than the product, as the
@@ -211,14 +211,6 @@ class Circulant:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return cyclic_correlate(self.generator, y)
 
-    def materialize(self) -> np.ndarray:
-        """Dense copy, refused above GRAM_MAX_P columns."""
-        p = self.generator.size
-        if p > GRAM_MAX_P:
-            raise MemoryGuardError(f"refusing to materialize p = {p} > {GRAM_MAX_P}")
-        idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-        return self.generator[idx]
-
     def gram_generator(self) -> np.ndarray:
         """Generator of A^T A, which is circulant too (cyclic autocorrelation)."""
         return cyclic_correlate(self.generator, self.generator)
@@ -259,10 +251,6 @@ class Dense:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.dense.T @ y
-
-    def materialize(self) -> np.ndarray:
-        """Copy of the stored matrix; nothing new is allocated to guard."""
-        return np.array(self.dense)
 
     @cached_property
     def gram(self) -> np.ndarray:

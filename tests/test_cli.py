@@ -88,6 +88,13 @@ class TestSolve:
         assert "kkt=" in lines[1]
         assert "converged=true" in lines[1]
 
+    def test_nmse_divides_by_signal_mass_below_one(self, capsys):
+        # run_trial's rule: over ||x*||_1 = 0.5, not over a floor of 1 (0.00191703834)
+        argv = ["solve", "--p", "200", "--m", "40", "--s", "2", "--l1", "0.5", "--seed", "7"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.startswith("estimator=ls_oracle weight_kind=none nmse=0.003834076679\n")
+
     def test_weight_list_adds_lines(self, capsys):
         code, out, _ = run_cli(
             ["solve", "--p", "60", "--m", "15", "--s", "3", "--seed", "2",
@@ -315,14 +322,25 @@ class TestWeights:
 
 class TestDiagnose:
     def test_report_contains_booleans_and_bounds(self, capsys):
+        # the cone RE constant is valid here, so the screening condition is evaluated
         code, out, _ = run_cli(
-            ["diagnose", "--p", "60", "--m", "40", "--s", "2", "--seed", "2"], capsys
+            ["diagnose", "--p", "2000", "--m", "500", "--s", "1", "--l1", "50",
+             "--seed", "3", "--gamma", "6", "--kind", "constant"],
+            capsys,
         )
         assert code == 0
         assert "= true" in out or "= false" in out
         assert "gram_dev = " in out
         assert "weights_pass = " in out
         assert "support_lhs = " in out
+
+    @pytest.mark.parametrize("gamma", ["1.5", "2"])
+    def test_no_cone_constant_at_gamma_two_or_below(self, gamma, capsys):
+        argv = ["diagnose", "--p", "60", "--m", "40", "--s", "2", "--seed", "2", "--gamma", gamma]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        for key in ("re_bound", "re_valid", "support_pass", "support_lhs", "support_rhs"):
+            assert f"\n{key} =\n" in out
 
 
 class TestConcentrationTest:

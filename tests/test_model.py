@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlasso.model
-from wlasso.errors import MemoryGuardError
 from wlasso.model import (
     SUPPORT_SUM_MAX,
     Circulant,
@@ -23,6 +22,8 @@ from wlasso.model import (
     trial_rng,
 )
 from wlasso.sensing import draw
+
+from reference import dense_matrix
 
 finite_vecs = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False),
@@ -233,8 +234,7 @@ class TestCirculantAlgebra:
 
     def test_materialize_index_rule(self):
         c = trial_rng(2).normal(size=7)
-        op = Circulant(c)
-        mat = op.materialize()
+        mat = dense_matrix(Circulant(c))
         for i in range(7):
             for j in range(7):
                 assert mat[i, j] == c[(i - j) % 7]
@@ -243,7 +243,7 @@ class TestCirculantAlgebra:
         rng = trial_rng(3)
         c = rng.normal(size=12)
         op = Circulant(c)
-        mat = op.materialize()
+        mat = dense_matrix(op)
         x = rng.normal(size=12)
         y = rng.normal(size=12)
         assert np.allclose(apply(op, x), mat @ x, atol=1e-12)
@@ -252,14 +252,8 @@ class TestCirculantAlgebra:
     def test_gram_generator_is_gram_column(self):
         c = trial_rng(4).normal(size=9)
         op = Circulant(c)
-        mat = op.materialize()
+        mat = dense_matrix(op)
         assert np.allclose(op.gram_generator(), (mat.T @ mat)[:, 0], atol=1e-12)
-
-    def test_materialize_guard(self, monkeypatch):
-        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 50)
-        op = Circulant(np.ones(100))
-        with pytest.raises(MemoryGuardError):
-            op.materialize()
 
 
 class TestGram:
@@ -267,7 +261,7 @@ class TestGram:
     def test_equals_materialized_product(self, p):
         rng = trial_rng(p)
         circ = Circulant(rng.normal(size=p))
-        mat = circ.materialize()
+        mat = dense_matrix(circ)
         assert np.allclose(circ.gram, mat.T @ mat, atol=1e-12)
         tall = rng.normal(size=(p + 5, p))
         assert np.allclose(Dense(tall).gram, tall.T @ tall, atol=1e-12)

@@ -29,6 +29,8 @@ from wlasso.solver import (
     weighted_lasso,
 )
 
+from reference import dense_matrix
+
 
 def random_dense_pair(seed, n=30, p=12):
     rng = trial_rng(seed)
@@ -278,7 +280,7 @@ class TestWorkingSet:
 class TestInvariances:
     def test_circulant_and_dense_paths_agree(self):
         pair_c = random_circulant_pair(12, p=32)
-        dense = pair_c.a_tilde.materialize()
+        dense = dense_matrix(pair_c.a_tilde)
         pair_d = SurrogatePair(Dense(dense), pair_c.y_tilde)
         w = random_weights(13, 32)
         cfg = SolverConfig(gamma=2.3)
@@ -456,7 +458,7 @@ class TestRefitting:
         for seed in range(3):
             pair, _ = model_instance(model, p, seed)
             support = trial_rng(seed + 60).choice(p, 3 if p == 50 else 15, replace=False)
-            self.assert_matches_lstsq(pair, support, pair.a_tilde.materialize()[:, support])
+            self.assert_matches_lstsq(pair, support, dense_matrix(pair.a_tilde)[:, support])
 
     def test_gram_refit_matches_lstsq_circulant_p5000(self):
         rng = trial_rng(9)
