@@ -3,13 +3,13 @@
 The objective is ||y_tilde - A_tilde x||_2^2 + gamma * sum_k d_k |x_k| (no 1/2
 on the quadratic), so the per-coordinate soft threshold is gamma * d_k / 2.
 One loop serves both designs and works in Gram space (glmnet's covariance
-updates): it tracks the score A^T (y - A x) through rows of the operator's
-Gram matrix, O(p) per coordinate update, and builds every drift-free score
-as aty - x[S] @ gram[S] from the pair's cached aty = A^T y and the Gram rows
-of the support S.  It sweeps only a working set, the support plus the
-coordinates whose score breaks their threshold, and certifies all p
-coordinates in one vectorised KKT check before it stops (strong rules,
-Tibshirani et al. 2012; Celer, Massias et al. 2018).  The design itself is
+updates): it sweeps only a working set W, the support plus the coordinates
+whose score breaks their threshold (strong rules, Tibshirani et al. 2012;
+Celer, Massias et al. 2018), and tracks the set's scores A^T (y - A x)
+through Gram rows gathered onto W, O(|W|) per coordinate update.  Every
+drift-free score is aty - x[S] @ gram[S], from the pair's cached aty = A^T y
+and the Gram rows of the support S, and certifies all p coordinates in one
+vectorised KKT check before the loop stops.  The design itself is
 read once per solve, for the residual behind the objective and the duality
 gap; kkt_check alone recomputes the score through the design and its adjoint.
 The least-squares refit reads only gram and aty.
@@ -186,7 +186,7 @@ def weighted_lasso(
     thresholds = config.gamma * weights.values / 2.0
     tol_coord = 1e-9 * (1.0 + float(np.abs(pair.y_tilde).max(initial=0.0)))
 
-    iterations, converged, working_set, score = _descend(
+    iterations, converged, working_set, score, kkt = _descend(
         op, pair.aty, x, thresholds, tol_coord, config
     )
 
@@ -195,7 +195,7 @@ def weighted_lasso(
     return SolveResult(
         x_hat=x,
         iterations=iterations,
-        kkt_residual=_kkt_from_score(score, x, thresholds),
+        kkt_residual=kkt,
         objective=primal,
         converged=converged,
         working_set=working_set,
@@ -206,45 +206,50 @@ def weighted_lasso(
 def _descend(op, aty, x, thresholds, tol_coord, config):
     """CD sweeps over a working set, tracking the score h = A^T (y - A x).
 
-    The set is the support plus the coordinates whose fresh score breaks
-    their threshold.  Once a sweep of it moves nothing, a drift-free score
-    checks all p coordinates; if any fails, the set is rebuilt from that
-    score.  Full Gram rows keep h exact off the set, O(p) per update.
-    Returns the sweeps, whether it converged, the set size and the
-    drift-free score at the final x.
+    The set W is the support plus the coordinates whose fresh score breaks
+    their threshold.  Its coordinates, scores, Gram diagonal and thresholds
+    are gathered once per set, and the row gram[k, W] the first time k moves,
+    so an update costs O(|W|); off-W scores are never read within a set.
+    Once a sweep of it moves nothing, x[W] is written back and a drift-free
+    score checks all p coordinates; if any fails, the set is rebuilt from
+    that score.  Returns the sweeps, whether it converged, the set size, and
+    the drift-free score at the final x with its KKT residual.
     """
     gram = op.gram
     diag = gram.diagonal()
     degenerate = np.flatnonzero(diag <= 0.0)
     if degenerate.size:
         raise DegenerateColumnError(int(degenerate[0]))
-    # python floats: indexing a numpy array per coordinate costs more than the update
-    diag, limits = diag.tolist(), thresholds.tolist()
     h = _gram_score(aty, gram, x)
-    work = _working_set(x, h, thresholds)
-
     iterations = 0
-    for _ in range(config.max_iter):
-        delta_max = 0.0
-        for k in work:
-            xk = x[k]
-            z = h[k] + diag[k] * xk
-            xk_new = soft_threshold(z, limits[k]) / diag[k]
-            delta = xk_new - xk
-            if delta != 0.0:
-                x[k] = xk_new
-                h -= delta * gram[k]
-                delta = abs(delta)
-                if delta > delta_max:
-                    delta_max = delta
-        iterations += 1
-        if delta_max < tol_coord:
-            # judge convergence on a drift-free score over all p, and keep it
-            h = _gram_score(aty, gram, x)
-            if _kkt_from_score(h, x, thresholds) < config.tol_kkt:
-                return iterations, True, len(work), h
-            work = _working_set(x, h, thresholds)
-    return iterations, False, len(work), _gram_score(aty, gram, x)
+    while True:
+        work = _working_set(x, h, thresholds)
+        # python floats: indexing a numpy array per coordinate costs more than the update
+        xw, dw, lw = x[work].tolist(), diag[work].tolist(), thresholds[work].tolist()
+        hw, rows, indices = h[work], [None] * work.size, work.tolist()
+        settled = False
+        while not settled and iterations < config.max_iter:
+            delta_max = 0.0
+            for j, k in enumerate(indices):
+                xk = xw[j]
+                xk_new = soft_threshold(hw[j] + dw[j] * xk, lw[j]) / dw[j]
+                delta = xk_new - xk
+                if delta != 0.0:
+                    xw[j] = xk_new
+                    if rows[j] is None:
+                        rows[j] = gram[k][work]
+                    hw -= delta * rows[j]
+                    delta = abs(delta)
+                    if delta > delta_max:
+                        delta_max = delta
+            iterations += 1
+            settled = bool(delta_max < tol_coord)
+        x[work] = xw
+        # judge convergence on a drift-free score over all p, and keep it
+        h = _gram_score(aty, gram, x)
+        kkt = _kkt_from_score(h, x, thresholds)
+        if not settled or kkt < config.tol_kkt:
+            return iterations, settled, work.size, h, kkt
 
 
 def _gram_score(aty, gram, x) -> np.ndarray:
@@ -253,9 +258,9 @@ def _gram_score(aty, gram, x) -> np.ndarray:
     return aty - x[support] @ gram[support]
 
 
-def _working_set(x, score, thresholds) -> list:
+def _working_set(x, score, thresholds) -> np.ndarray:
     """The support plus the coordinates whose score breaks its threshold."""
-    return np.flatnonzero((x != 0.0) | (np.abs(score) > thresholds)).tolist()
+    return np.flatnonzero((x != 0.0) | (np.abs(score) > thresholds))
 
 
 def oracle_least_squares(pair: SurrogatePair, support) -> np.ndarray:

@@ -1,12 +1,23 @@
-"""Checks of the package against dense matrices and raw counts, which it never runs."""
+"""Checks of the package against dense matrices, raw counts and the solver's
+earlier full-row loop, none of which it runs."""
 from collections import namedtuple
+from unittest.mock import patch
 
 import numpy as np
 
+import wlasso.solver
 from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.convolution import ConvolutionInstance, sample_parents
+from wlasso.errors import DegenerateColumnError
 from wlasso.model import Circulant, Dense, cyclic_correlate
 from wlasso.sensing import surrogate
+from wlasso.solver import (
+    SolveResult,
+    _gram_score,
+    _kkt_from_score,
+    soft_threshold,
+    weighted_lasso,
+)
 
 
 def dense_matrix(op: Circulant | Dense) -> np.ndarray:
@@ -63,3 +74,54 @@ def bernoulli_gram_expectation_check(n, p, q, n_draws, rng) -> GramExpectationRe
 
 def convolution_gram_expectation_check(p, m, n_draws, rng) -> GramExpectationReport:
     return _gram_expectation(lambda r: sample_parents(p, m, r), p, n_draws, rng)
+
+
+def full_row_lasso(pair, weights, config, x0=None) -> SolveResult:
+    """weighted_lasso on the loop it ran before the working-set gather: every
+    update goes to all p scores through a full Gram row, and the KKT residual
+    is recomputed from the returned score."""
+
+    def descend(op, aty, x, thresholds, tol_coord, config):
+        *swept, score = _full_row_descend(op, aty, x, thresholds, tol_coord, config)
+        return *swept, score, _kkt_from_score(score, x, thresholds)
+
+    with patch.object(wlasso.solver, "_descend", descend):
+        return weighted_lasso(pair, weights, config, x0)
+
+
+def _full_row_descend(op, aty, x, thresholds, tol_coord, config):
+    """solver._descend as it stood, returning no KKT residual."""
+    gram = op.gram
+    diag = gram.diagonal()
+    degenerate = np.flatnonzero(diag <= 0.0)
+    if degenerate.size:
+        raise DegenerateColumnError(int(degenerate[0]))
+    diag, limits = diag.tolist(), thresholds.tolist()
+    h = _gram_score(aty, gram, x)
+    work = _full_row_working_set(x, h, thresholds)
+
+    iterations = 0
+    for _ in range(config.max_iter):
+        delta_max = 0.0
+        for k in work:
+            xk = x[k]
+            z = h[k] + diag[k] * xk
+            xk_new = soft_threshold(z, limits[k]) / diag[k]
+            delta = xk_new - xk
+            if delta != 0.0:
+                x[k] = xk_new
+                h -= delta * gram[k]
+                delta = abs(delta)
+                if delta > delta_max:
+                    delta_max = delta
+        iterations += 1
+        if delta_max < tol_coord:
+            h = _gram_score(aty, gram, x)
+            if _kkt_from_score(h, x, thresholds) < config.tol_kkt:
+                return iterations, True, len(work), h
+            work = _full_row_working_set(x, h, thresholds)
+    return iterations, False, len(work), _gram_score(aty, gram, x)
+
+
+def _full_row_working_set(x, score, thresholds) -> list:
+    return np.flatnonzero((x != 0.0) | (np.abs(score) > thresholds)).tolist()

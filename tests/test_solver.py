@@ -29,7 +29,7 @@ from wlasso.solver import (
     weighted_lasso,
 )
 
-from reference import dense_matrix
+from reference import dense_matrix, full_row_lasso
 
 
 def random_dense_pair(seed, n=30, p=12):
@@ -90,12 +90,11 @@ def count_products(monkeypatch):
     return calls
 
 
-def model_instance(model, p, seed):
+def model_instance(model, p, seed, s=None, m=None):
     """A drawn surrogate pair with its constant and nonconstant weights."""
     rng = trial_rng(seed)
-    inst, y, _, _ = draw(
-        model, p, 3 if p == 50 else 15, 100.0, rng, m=12 if p == 50 else 60, n=2000, q=0.5
-    )
+    s = s or (3 if p == 50 else 15)
+    inst, y, _, _ = draw(model, p, s, 100.0, rng, m=m or (12 if p == 50 else 60), n=2000, q=0.5)
     pair = surrogate(inst, y)
     return pair, {kind: weights(kind, inst, pair, y) for kind in ("constant", "nonconstant")}
 
@@ -275,6 +274,75 @@ class TestWorkingSet:
         assert res.working_set == 1
         assert res.objective == 8.25
         assert res.gap == 0.0
+
+
+class TestFullRowIdentity:
+    """The gathered working-set sweep gives the full-row loop's bits."""
+
+    @pytest.fixture
+    def set_sizes(self, monkeypatch):
+        """The sizes of the working sets built since the list was last cleared."""
+        sizes, build = [], wlasso.solver._working_set
+
+        def recorded(*args):
+            work = build(*args)
+            sizes.append(work.size)
+            return work
+
+        monkeypatch.setattr(wlasso.solver, "_working_set", recorded)
+        return sizes
+
+    @staticmethod
+    def assert_same_bits(pair, w, cfg, x0=None):
+        got = weighted_lasso(pair, w, cfg, x0=x0)
+        want = full_row_lasso(pair, w, cfg, x0=x0)
+        assert got.x_hat.tobytes() == want.x_hat.tobytes()
+        for field in ("iterations", "working_set", "converged", "kkt_residual", "gap", "objective"):
+            assert type(getattr(got, field)) is type(getattr(want, field))
+            assert repr(getattr(got, field)) == repr(getattr(want, field))
+        return got
+
+    @staticmethod
+    def warm_start(p):
+        """Ten random nonzeros, mostly off the solution's support."""
+        rng = trial_rng(100)
+        x0 = np.zeros(p)
+        x0[rng.choice(p, 10, replace=False)] = rng.normal(size=10) * 5.0
+        return x0
+
+    def test_matches_full_rows(self, set_sizes):
+        rebuilds = budget_stops = 0
+        designs = [("convolution", 300, 15, 60), ("convolution", 1000, 5, 40),
+                   ("convolution", 5000, 5, 40), ("bernoulli", 200, 5, None)]
+        for model, p, s, m in designs:
+            pair, built = model_instance(model, p, 0, s=s, m=m)
+            x0 = self.warm_start(p)
+            for w in built.values():
+                for gamma in (2.1, 4.0, 8.0):
+                    for max_iter, start in [(1, None), (2, None), (3, None), (10_000, None),
+                                            (2, x0), (10_000, x0)]:
+                        set_sizes.clear()
+                        cfg = SolverConfig(gamma=gamma, max_iter=max_iter)
+                        res = self.assert_same_bits(pair, w, cfg, x0=start)
+                        rebuilds += len(set_sizes) > 1
+                        budget_stops += not res.converged
+        assert rebuilds >= 1
+        assert budget_stops >= 1
+
+    @pytest.mark.filterwarnings("ignore:gamma = 0.2")
+    def test_matches_full_rows_on_a_large_set(self, set_sizes):
+        # gamma = 0.2 at p = 2000, s = 5, m = 40: the first set holds most of p
+        pair, built = model_instance("convolution", 2000, 0, s=5, m=40)
+        x0 = self.warm_start(2000)
+        first_sets, rebuilds = [], 0
+        for w in built.values():
+            for max_iter, start in [(1, None), (3, None), (10_000, None), (10_000, x0)]:
+                set_sizes.clear()
+                self.assert_same_bits(pair, w, SolverConfig(gamma=0.2, max_iter=max_iter), start)
+                first_sets.append(set_sizes[0])
+                rebuilds += len(set_sizes) > 1
+        assert max(first_sets) >= 1000
+        assert rebuilds >= 1
 
 
 class TestInvariances:
