@@ -107,7 +107,9 @@ def surrogate_bernoulli(inst: BernoulliInstance, y) -> SurrogatePair:
     if y.shape != (inst.n,):
         raise ValueError("y must have length n")
     scale = _scale(inst)
-    a_tilde = Dense((inst.a - inst.q) / scale, gram_from=partial(_surrogate_gram, inst))
+    centred = inst.a - inst.q
+    centred /= scale  # in place, so the design costs one n x p float array, not two
+    a_tilde = Dense(centred, gram_from=partial(_surrogate_gram, inst))
     y_tilde = (inst.n * y - y.sum()) / ((inst.n - 1) * scale)
     return SurrogatePair(a_tilde=a_tilde, y_tilde=y_tilde)
 

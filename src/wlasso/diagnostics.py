@@ -73,11 +73,13 @@ class CoverReport:
     margin: float
 
 
-def weights_cover(
-    pair: SurrogatePair, x_star, weights: WeightVector
-) -> CoverReport:
-    """Do the weights dominate the score at the truth, coordinatewise?"""
-    margins = weights.values - np.abs(deviation_at_truth(pair, x_star))
+def weights_cover(deviation: np.ndarray, weights: WeightVector) -> CoverReport:
+    """Do the weights dominate the score at the truth, coordinatewise?
+
+    deviation is that score, deviation_at_truth(pair, x_star): a trial computes
+    it once and judges each of its weight kinds against it.
+    """
+    margins = weights.values - np.abs(deviation)
     worst = int(np.argmin(margins))
     return CoverReport(
         passed=bool(margins[worst] >= 0.0), worst_index=worst, margin=float(margins[worst])
@@ -216,7 +218,7 @@ def assumption_report(
                 xi, gamma, re_bound, weights, support
             )
 
-    cover = weights_cover(pair, x_star, weights)
+    cover = weights_cover(deviation_at_truth(pair, x_star), weights)
     return AssumptionReport(
         gram_dev=xi,
         theta_used=theta_used,

@@ -28,8 +28,10 @@ from typing import Optional, get_origin, get_type_hints
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
-from .model import check_seed, trial_rng
-from .sensing import MODELS, WEIGHT_KINDS, check_params, draw, surrogate, weights
+from .model import check_seed, deviation_at_truth, trial_rng
+from .sensing import (
+    MODELS, WEIGHT_KINDS, check_params, draw, oracle_weights, surrogate, weights,
+)
 from .solver import SolverConfig, detected_support, weighted_lasso, oracle_least_squares
 from .diagnostics import weights_cover
 
@@ -170,8 +172,11 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
 
     The draw, the surrogate pair, the weights, their coverage and ls_oracle do
     not depend on gamma, so each is built once; every gamma is solved from a
-    cold start, so its numbers do not depend on the other gammas.  Each
-    distinct support is refit once: the same Gram block gives the same bits.
+    cold start, so its numbers do not depend on the other gammas.  The score
+    at the truth is computed once and serves every kind's coverage and the
+    oracle weights, so a trial applies the design and its adjoint twice each
+    (the intensity and aty, then that score), whatever its gammas and kinds.
+    Each distinct support is refit once: the same Gram block gives the same bits.
     """
     cfg = point.cfg
     rng = trial_rng(cfg.master_seed, trial_index)
@@ -184,10 +189,14 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     keys = estimator_keys(cfg)
     built: dict = {}
     coverage: dict = {}
+    deviation = deviation_at_truth(pair, x_star)
     for kind in dict.fromkeys(k for _, k in keys if k != "none"):
         try:
-            built[kind] = weights(kind, inst, pair, y, x_star, c=cfg.weight_c)
-            coverage[kind] = weights_cover(pair, x_star, built[kind]).passed
+            if kind == "oracle":
+                built[kind] = oracle_weights(deviation)
+            else:
+                built[kind] = weights(kind, inst, pair, y, c=cfg.weight_c)
+            coverage[kind] = weights_cover(deviation, built[kind]).passed
         except Exception as exc:  # noqa: BLE001 - fails each of its cells below
             built[kind] = exc
 

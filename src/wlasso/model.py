@@ -11,8 +11,9 @@ diagnostics.gram_deviation branches on the class, to read a circulant Gram
 from its generator without allocating p x p floats.
 
 A SurrogatePair holds its observations read-only and caches the score at zero,
-aty = A^T y, so the solver's every score, aty - A^T A x, comes from Gram rows,
-and its least-squares refit on a support from the Gram block of that support.
+aty = A^T y, and yty = y^T y, so the solver's every score, aty - A^T A x, comes
+from Gram rows, its residual norm from those two numbers and the score, and its
+least-squares refit on a support from the Gram block of that support.
 
 Every circulant product goes through cyclic_convolve (cyclic_correlate reverses
 one operand and calls it).  The DFT diagonalises a circulant matrix, so a dense
@@ -305,6 +306,11 @@ class SurrogatePair:
         aty = apply_adjoint(self.a_tilde, self.y_tilde)
         aty.flags.writeable = False
         return aty
+
+    @cached_property
+    def yty(self) -> float:
+        """y_tilde . y_tilde: with aty and the Gram, a solve's residual norm needs no product."""
+        return float(self.y_tilde @ self.y_tilde)
 
 
 def deviation_at_truth(pair: SurrogatePair, x_star: np.ndarray) -> np.ndarray:

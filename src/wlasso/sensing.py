@@ -77,11 +77,9 @@ def default_theta(inst) -> float:
     return _module(inst).default_theta(inst.p)
 
 
-def oracle_weights(pair: SurrogatePair, x_star, floor: float = 1e-12) -> WeightVector:
-    """|score at the truth|, floored; works for any surrogate pair."""
-    x_star = np.asarray(x_star, dtype=np.float64)
-    d = np.abs(deviation_at_truth(pair, x_star))
-    return WeightVector(np.maximum(d, floor), "oracle")
+def oracle_weights(deviation: np.ndarray, floor: float = 1e-12) -> WeightVector:
+    """|score at the truth|, floored; deviation is deviation_at_truth(pair, x_star)."""
+    return WeightVector(np.maximum(np.abs(deviation), floor), "oracle")
 
 
 def check_weight_kind(kind: str, x_star) -> None:
@@ -101,7 +99,7 @@ def weights(
     """Weights of one kind; c scales the Bernoulli second-order term only."""
     check_weight_kind(kind, x_star)
     if kind == "oracle":
-        return oracle_weights(pair, x_star)
+        return oracle_weights(deviation_at_truth(pair, x_star))
     module = _module(inst)
     build = module.constant_weights if kind == "constant" else module.nonconstant_weights
     if module is _convolution:

@@ -9,10 +9,11 @@ Celer, Massias et al. 2018), and tracks the set's scores A^T (y - A x)
 through Gram rows gathered onto W, O(|W|) per coordinate update.  Every
 drift-free score is aty - x[S] @ gram[S], from the pair's cached aty = A^T y
 and the Gram rows of the support S, and certifies all p coordinates in one
-vectorised KKT check before the loop stops.  The design itself is
-read once per solve, for the residual behind the objective and the duality
-gap; kkt_check alone recomputes the score through the design and its adjoint.
-The least-squares refit reads only gram and aty.
+vectorised KKT check before the loop stops.  The objective and the duality
+gap come from that score too, with the pair's cached yty = y^T y, so a solve
+applies neither the design nor its adjoint.  objective() and kkt_check take
+the residual route through the design instead, as checks independent of the
+solver.  The least-squares refit reads only gram and aty.
 """
 from __future__ import annotations
 
@@ -97,7 +98,8 @@ class WeightVector:
 @dataclass(eq=False)
 class SolveResult:
     """iterations counts sweeps over the working set; working_set is its final
-    size; gap is the duality gap at x_hat (objective minus a feasible dual)."""
+    size; gap is the duality gap at x_hat: objective minus the dual value at
+    the residual scaled into the dual-feasible set, both read off the score."""
 
     x_hat: np.ndarray
     iterations: int
@@ -120,19 +122,26 @@ def objective(
     pair: SurrogatePair, weights: WeightVector, gamma: float, x: np.ndarray
 ) -> float:
     x = np.asarray(x, dtype=np.float64)
-    return _objective_at(pair.y_tilde - apply(pair.a_tilde, x), weights, gamma, x)
-
-
-def _objective_at(residual, weights, gamma, x) -> float:
+    residual = pair.y_tilde - apply(pair.a_tilde, x)
     return float(residual @ residual + gamma * np.abs(x) @ weights.values)
 
 
-def _duality_gap(residual, score, y, thresholds, primal) -> float:
-    """Primal minus the dual 2 s r.y - s^2 r.r at theta = s r, the residual
-    scaled into the dual-feasible set |A^T theta| <= thresholds."""
+def _objective_and_gap(pair, weights, gamma, x, score, thresholds) -> tuple[float, float]:
+    """The objective and duality gap at x, from its score h = A^T r alone.
+
+    On the support S, r.y = ||r||^2 + x.h gives ||r||^2 = yty - x_S.aty_S - x_S.h_S.
+    The dual point is the residual scaled into the dual-feasible set, s r with
+    s = 1 / max(1, max_k |h_k| / t_k), whose dual value is 2 s r.y - s^2 ||r||^2.
+    So the gap is (1 - s)^2 ||r||^2 + pen - 2 s x_S.h_S, with no cancellation,
+    and each term of pen - 2 s x_S.h_S is nonnegative, since s |h_k| <= t_k.
+    """
+    support = np.flatnonzero(x)
+    xs = x[support]
+    xh = float(xs @ score[support])
+    rr = max(0.0, pair.yty - float(xs @ pair.aty[support]) - xh)
+    pen = float(gamma * np.abs(xs) @ weights.values[support])
     scale = 1.0 / max(1.0, float(np.max(np.abs(score) / thresholds)))
-    rr = float(residual @ residual)
-    return primal - (2.0 * scale * float(residual @ y) - scale * scale * rr)
+    return rr + pen, (1.0 - scale) ** 2 * rr + pen - 2.0 * scale * xh
 
 
 def _kkt_from_score(score: np.ndarray, x: np.ndarray, thresholds: np.ndarray) -> float:
@@ -141,13 +150,10 @@ def _kkt_from_score(score: np.ndarray, x: np.ndarray, thresholds: np.ndarray) ->
     Nonzero coordinates must sit exactly on their threshold with the right
     sign; zero coordinates must stay inside it.
     """
-    active = x != 0
-    viol_zero = np.abs(score) - thresholds
-    viol_zero[active] = 0.0
-    np.maximum(viol_zero, 0.0, out=viol_zero)
-    viol_active = np.abs(score - np.sign(x) * thresholds)
-    viol_active[~active] = 0.0
-    return float(max(viol_zero.max(initial=0.0), viol_active.max(initial=0.0)))
+    viol = np.abs(score) - thresholds
+    support = np.flatnonzero(x)
+    viol[support] = np.abs(score[support] - np.sign(x[support]) * thresholds[support])
+    return float(viol.max(initial=0.0))
 
 
 def kkt_check(
@@ -171,6 +177,8 @@ def weighted_lasso(
     1e-9 * (1 + max|y_tilde|) or more AND the stationarity residual of all p
     coordinates (recomputed from scratch, not from the running state) is below
     tol_kkt; max_iter caps the sweeps.  Coefficients may take either sign.
+    The objective and the duality gap are read off that drift-free score and
+    the pair's cached aty and yty, so the solve applies no design product.
     """
     op = pair.a_tilde
     p = op.n_cols
@@ -189,9 +197,7 @@ def weighted_lasso(
     iterations, converged, working_set, score, kkt = _descend(
         op, pair.aty, x, thresholds, tol_coord, config
     )
-
-    residual = pair.y_tilde - apply(op, x)
-    primal = _objective_at(residual, weights, config.gamma, x)
+    primal, gap = _objective_and_gap(pair, weights, config.gamma, x, score, thresholds)
     return SolveResult(
         x_hat=x,
         iterations=iterations,
@@ -199,7 +205,7 @@ def weighted_lasso(
         objective=primal,
         converged=converged,
         working_set=working_set,
-        gap=_duality_gap(residual, score, pair.y_tilde, thresholds, primal),
+        gap=gap,
     )
 
 
@@ -253,8 +259,10 @@ def _descend(op, aty, x, thresholds, tol_coord, config):
 
 
 def _gram_score(aty, gram, x) -> np.ndarray:
-    """A^T (y - A x) as aty - x[S] @ gram[S] over the support S; aty's bits at 0."""
+    """A^T (y - A x) as aty - x[S] @ gram[S] over the support S; a copy of aty at 0."""
     support = np.flatnonzero(x)
+    if not support.size:
+        return aty.copy()
     return aty - x[support] @ gram[support]
 
 

@@ -1,5 +1,6 @@
-"""Checks of the package against dense matrices, raw counts and the solver's
-earlier full-row loop, none of which it runs."""
+"""Checks of the package against dense matrices, raw counts, the solver's
+earlier full-row loop and its earlier residual-route objective and gap, none
+of which it runs, and a counter of its design products."""
 from collections import namedtuple
 from unittest.mock import patch
 
@@ -9,7 +10,7 @@ import wlasso.solver
 from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.convolution import ConvolutionInstance, sample_parents
 from wlasso.errors import DegenerateColumnError
-from wlasso.model import Circulant, Dense, cyclic_correlate
+from wlasso.model import Circulant, Dense, apply, cyclic_correlate
 from wlasso.sensing import surrogate
 from wlasso.solver import (
     SolveResult,
@@ -74,6 +75,43 @@ def bernoulli_gram_expectation_check(n, p, q, n_draws, rng) -> GramExpectationRe
 
 def convolution_gram_expectation_check(p, m, n_draws, rng) -> GramExpectationReport:
     return _gram_expectation(lambda r: sample_parents(p, m, r), p, n_draws, rng)
+
+
+def count_products(monkeypatch):
+    """Count apply and adjoint calls on both operator classes from now on."""
+    calls = {"apply": 0, "adjoint": 0}
+    for cls in (Circulant, Dense):
+        for name in calls:
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def residual_objective_and_gap(pair, weights, gamma, x) -> tuple[float, float]:
+    """weighted_lasso's objective and duality gap as it computed them from the
+    residual r = y - A x: the gap is the objective minus 2 s r.y - s^2 r.r."""
+    residual = pair.y_tilde - apply(pair.a_tilde, x)
+    primal = float(residual @ residual + gamma * np.abs(x) @ weights.values)
+    score = _gram_score(pair.aty, pair.a_tilde.gram, x)
+    scale = 1.0 / max(1.0, float(np.max(np.abs(score) / (gamma * weights.values / 2.0))))
+    rr = float(residual @ residual)
+    return primal, primal - (2.0 * scale * float(residual @ pair.y_tilde) - scale * scale * rr)
+
+
+def masked_kkt_from_score(score, x, thresholds) -> float:
+    """solver._kkt_from_score as it stood: two masked length-p violation arrays."""
+    active = x != 0
+    viol_zero = np.abs(score) - thresholds
+    viol_zero[active] = 0.0
+    np.maximum(viol_zero, 0.0, out=viol_zero)
+    viol_active = np.abs(score - np.sign(x) * thresholds)
+    viol_active[~active] = 0.0
+    return float(max(viol_zero.max(initial=0.0), viol_active.max(initial=0.0)))
 
 
 def full_row_lasso(pair, weights, config, x0=None) -> SolveResult:

@@ -270,7 +270,7 @@ def test_criterion_7_conditional_recovery():
         w = cv.constant_weights(inst, y)
         xi = gram_deviation(pair.a_tilde)
         delta, valid = re_constant_from_xi(xi, len(sig.support), c0)
-        if not (weights_cover(pair, x, w).passed and valid and delta < 1.0):
+        if not (weights_cover(deviation_at_truth(pair, x), w).passed and valid and delta < 1.0):
             continue
         cond, _, _ = support_condition_check(xi, gamma, delta, w, sig.support)
         if not cond:

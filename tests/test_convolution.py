@@ -168,8 +168,9 @@ class TestWeights:
         inst, sig, y = draw_instance(9)
         pair = surrogate_convolution(inst, y)
         x_star = sig.dense()
-        got = oracle_weights(pair, x_star, floor=1e-6)
-        dev = np.abs(deviation_at_truth(pair, x_star))
+        deviation = deviation_at_truth(pair, x_star)
+        got = oracle_weights(deviation, floor=1e-6)
+        dev = np.abs(deviation)
         assert got.kind == "oracle"
         assert np.all(got.values >= 1e-6)
         big = dev > 1e-6
@@ -240,8 +241,7 @@ class TestWeights:
             e_est = np.sum(
                 (weighted_lasso(pair, nonconstant_weights(inst, y), cfg).x_hat - x) ** 2
             )
-            e_orc = np.sum(
-                (weighted_lasso(pair, oracle_weights(pair, x), cfg).x_hat - x) ** 2
-            )
+            w_orc = oracle_weights(deviation_at_truth(pair, x))
+            e_orc = np.sum((weighted_lasso(pair, w_orc, cfg).x_hat - x) ** 2)
             wins += int(e_orc <= e_est)
         assert wins >= 140

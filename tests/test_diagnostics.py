@@ -30,6 +30,7 @@ from wlasso.model import (
     Dense,
     SurrogatePair,
     apply,
+    deviation_at_truth,
     trial_rng,
 )
 from wlasso.sensing import draw, oracle_weights, surrogate, weights
@@ -189,8 +190,8 @@ class TestWeightsCover:
         pair = surrogate_convolution(inst, y)
         x_star = np.zeros(30)
         x_star[[2, 9]] = [5.0, 7.0]
-        w = oracle_weights(pair, x_star)
-        rep = weights_cover(pair, x_star, w)
+        deviation = deviation_at_truth(pair, x_star)
+        rep = weights_cover(deviation, oracle_weights(deviation))
         assert rep.passed
         assert rep.margin >= 0.0
 
@@ -200,14 +201,14 @@ class TestWeightsCover:
         x_star[[1, 4]] = [2.0, 3.0]
         op = Circulant(inst.counts.astype(float))
         pair = surrogate_convolution(inst, apply(op, x_star))
-        rep = weights_cover(pair, x_star, WeightVector.constant(30, 0.5))
+        rep = weights_cover(deviation_at_truth(pair, x_star), WeightVector.constant(30, 0.5))
         assert rep.passed
         assert rep.margin == pytest.approx(0.5, abs=1e-8)
 
     def test_reports_worst_coordinate(self):
         pair = SurrogatePair(identity_op(4), np.array([0.0, 0.0, 3.0, 0.0]))
         w = WeightVector.constant(4, 1.0)
-        rep = weights_cover(pair, np.zeros(4), w)
+        rep = weights_cover(deviation_at_truth(pair, np.zeros(4)), w)
         assert not rep.passed
         assert rep.worst_index == 2
         assert rep.margin == pytest.approx(-2.0)
@@ -339,7 +340,7 @@ class TestAssumptionReport:
         op = Circulant(inst.counts.astype(float))
         y = rng.poisson(apply(op, x_star)).astype(float)
         pair = surrogate_convolution(inst, y)
-        w = oracle_weights(pair, x_star)
+        w = oracle_weights(deviation_at_truth(pair, x_star))
         return assumption_report(pair, x_star, w, gamma, theta_used=5.0, rip_s=2)
 
     def test_fields_populated(self):

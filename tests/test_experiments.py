@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import wlasso.experiments
+from wlasso.diagnostics import weights_cover
 from wlasso.errors import SingularDesignError
-from wlasso.model import trial_rng
-from wlasso.sensing import draw
+from wlasso.model import deviation_at_truth, trial_rng
+from wlasso.sensing import draw, surrogate, weights
 from wlasso.solver import detected_support
 from wlasso.experiments import (
     CSV_HEADER,
@@ -31,6 +32,8 @@ from wlasso.experiments import (
     run_trial,
     tune_gamma,
 )
+
+from reference import count_products
 
 
 def conv_config(**over):
@@ -242,6 +245,49 @@ class TestRunTrial:
         assert all(v.startswith("SingularDesignError") for v in out.failures.values())
         # a support shared by several cells is refit, and fails, once per cell
         assert len(calls) == len(out.failures) > len(set(calls))
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    @pytest.mark.parametrize("gammas", [(2.1, 3.0, 4.0, 6.0, 8.0), (4.0,)])
+    @pytest.mark.parametrize("kinds", [("constant", "nonconstant"),
+                                       ("constant", "nonconstant", "oracle")])
+    def test_two_products_each_per_trial(self, monkeypatch, model, gammas, kinds):
+        # the intensity and aty, then the score at the truth; no solve reads the design
+        over = dict(weight_kinds=kinds)
+        if model == "bernoulli":
+            over.update(model="bernoulli", p=40, n=300, m_grid=())
+        cfg = conv_config(**over)
+        point = conv_point(cfg, m=0 if model == "bernoulli" else None)
+        for i in range(2):
+            calls = count_products(monkeypatch)
+            out = run_trial(point, i, gammas)
+            assert not out.failures and set(out.coverage) == set(kinds)
+            assert calls == {"apply": 2, "adjoint": 2}
+
+    def test_coverage_is_weights_cover_of_each_kind(self):
+        # without the second-order term (c = 0) the estimated weights of this
+        # heavy signal fail to cover on some draws: trial 18 fails with both
+        # estimated kinds, trial 21 with the nonconstant one (found by search)
+        kinds = ("constant", "nonconstant", "oracle")
+        cfg = conv_config(model="bernoulli", p=40, n=300, m_grid=(), weight_c=0.0,
+                          target_l1=1000.0, weight_kinds=kinds)
+        point = conv_point(cfg, m=0)
+        outcomes = set()
+        for i in (0, 18, 21):
+            got = run_trial(point, i, (4.0,)).coverage
+            inst, y, x_star, _ = draw(
+                cfg.model, point.p, cfg.s, cfg.target_l1, trial_rng(cfg.master_seed, i),
+                m=0, n=cfg.n, q=cfg.q,
+            )
+            pair = surrogate(inst, y)
+            want = {
+                kind: weights_cover(
+                    deviation_at_truth(pair, x_star), weights(kind, inst, pair, y, x_star, c=0.0)
+                ).passed
+                for kind in kinds
+            }
+            assert got == want
+            outcomes.add(tuple(got[kind] for kind in kinds))
+        assert outcomes == {(True, True, True), (False, False, True), (True, False, True)}
 
     @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
     def test_gammas_share_one_draw(self, model):
