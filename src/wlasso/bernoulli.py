@@ -5,6 +5,10 @@ The surrogate recentres both sides so the Gram expectation is identity:
   A_tilde = (A - q 11^T) / sqrt(n q (1 - q))
   Y_tilde = (n Y - (sum_l Y_l) 1) / ((n - 1) sqrt(n q (1 - q)))
 
+A_tilde is applied, never formed: its operator is the 0/1 draw itself with
+the rank-one shift q and the scale held beside it, so A_tilde x is
+(A x - q sum(x)) / sqrt(n q (1 - q)), and the instance keeps A read-only.
+
 Weights bound the score A_tilde^T (Y_tilde - A_tilde x*) coordinatewise with
 high probability.  Each weight is a first part controlling the centred linear
 statistic (through the concentration toolkit, at theta = 3 log p by default)
@@ -16,7 +20,7 @@ a_lk = 0, with S the column sums.  So the per-coordinate statistics V^T Y come
 from y @ a and sum(y) in O(n p), with no n x p temporary, and both the
 constant weight's pair maximum and the surrogate Gram come from the
 co-occurrence counts C = a^T a, one O(n p^2) product per draw, cached on the
-instance:
+instance and guarded, as a dense Gram is, at model.GRAM_MAX_P columns:
 
   A_tilde^T A_tilde = (C - q S 1^T - q 1 S^T + n q^2 11^T) / (n q (1 - q)).
 """
@@ -34,7 +38,8 @@ from .concentration import (
     empirical_deviation_bound,
     variance_envelope,
 )
-from .errors import EnumerationGuardError, ParameterError, RegimeViolationError
+from . import model
+from .errors import MemoryGuardError, ParameterError, RegimeViolationError
 from .model import Dense, SurrogatePair
 from .solver import WeightVector
 
@@ -58,6 +63,9 @@ class BernoulliInstance:
             raise ValueError("a must be n x p")
         if np.any((self.a != 0.0) & (self.a != 1.0)):
             raise ValueError("a must have entries in {0, 1}")
+        # the design is shared, uncopied, by the sensing and surrogate operators;
+        # read-only, so the co-occurrence and a surrogate's aty cannot go stale
+        self.a.flags.writeable = False
         self.column_sums = np.asarray(self.column_sums, dtype=np.float64)
         if self.column_sums.shape != (self.p,):
             raise ValueError("column_sums must have length p")
@@ -65,7 +73,12 @@ class BernoulliInstance:
     @cached_property
     def co_occurrence(self) -> np.ndarray:
         """C = a^T a, read-only: C[u, k] counts the rows where columns u and k
-        are both 1, so its diagonal holds the column sums."""
+        are both 1, so its diagonal holds the column sums.  A p x p matrix, so
+        refused above model.GRAM_MAX_P columns, as a dense Gram is."""
+        if self.p > model.GRAM_MAX_P:
+            raise MemoryGuardError(
+                f"co-occurrence counts for p = {self.p} exceed guard {model.GRAM_MAX_P}"
+            )
         counts = self.a.T @ self.a
         counts.flags.writeable = False
         return counts
@@ -107,9 +120,8 @@ def surrogate_bernoulli(inst: BernoulliInstance, y) -> SurrogatePair:
     if y.shape != (inst.n,):
         raise ValueError("y must have length n")
     scale = _scale(inst)
-    centred = inst.a - inst.q
-    centred /= scale  # in place, so the design costs one n x p float array, not two
-    a_tilde = Dense(centred, gram_from=partial(_surrogate_gram, inst))
+    # (a - q 11^T) / scale, applied on the 0/1 draw itself: no n x p copy
+    a_tilde = Dense(inst.a, partial(_surrogate_gram, inst), shift=inst.q, scale=scale)
     y_tilde = (inst.n * y - y.sum()) / ((inst.n - 1) * scale)
     return SurrogatePair(a_tilde=a_tilde, y_tilde=y_tilde)
 
@@ -160,21 +172,15 @@ def _second_order_term(
     return c * (theta / n + qmax2 * theta * theta / (n * n * q * (1.0 - q))) * n_hat
 
 
-def max_pair_weight(inst: BernoulliInstance, max_ops: float = 1e9) -> float:
+def max_pair_weight(inst: BernoulliInstance) -> float:
     """Exact W = max_{u,k} w(u,k) with
     w(u,k) = sum_l a_{l,u} (n a_{l,k} - S_k)^2 / (n^2 (n-1)^2 q^2 (1-q)^2).
 
     Since a is 0/1, (n a_lk - S_k)^2 is a_lk (n^2 - 2 n S_k) + S_k^2, so W
     comes from the co-occurrence counts a^T a, shared with the surrogate Gram:
-    one n x p by n x p product per draw, O(n p^2); guarded rather than
-    subsampled.
+    one n x p by n x p product per draw, O(n p^2), under the same p guard.
     """
-    n, p, q = inst.n, inst.p, inst.q
-    if float(n) * p * p > max_ops:
-        raise EnumerationGuardError(
-            f"exact pair-weight maximum needs ~{float(n) * p * p:.2e} ops, "
-            f"budget {max_ops:.2e}"
-        )
+    n, q = inst.n, inst.q
     counts = inst.co_occurrence
     sums = inst.column_sums
     # every term is an integer of magnitude <= n^3, exact in float64 while

@@ -1,14 +1,16 @@
 """Ground-truth signals, Poisson observations, and the linear operators they share.
 
 Two operator classes share one surface (apply, adjoint, gram): Dense stores
-the matrix, Circulant only its generator column c, with entry (l, k) equal to
-c[(l - k) mod p], plus gram_generator.  Each owns its Gram matrix A^T A,
-computed once per operator: a zero-copy strided view for a circulant, a p x p
-matrix, guarded at GRAM_MAX_P columns, for a dense design; a dense design may
-say how to build its Gram from something cheaper than the product, as the
-Bernoulli surrogate does from the 0/1 co-occurrence counts.  Only
-diagnostics.gram_deviation branches on the class, to read a circulant Gram
-from its generator without allocating p x p floats.
+a matrix M and is the operator (M - shift 11^T) / scale, applied as M x minus
+a rank-one correction and never formed, so the Bernoulli surrogate needs no
+copy of its 0/1 draw; Circulant stores only its generator column c, with
+entry (l, k) equal to c[(l - k) mod p], plus gram_generator.  Each owns its
+Gram matrix A^T A, computed once per operator: a zero-copy strided view for a
+circulant, a p x p matrix, guarded at GRAM_MAX_P columns, for a dense design;
+a dense design may say how to build its Gram from something cheaper than the
+product, and a shifted one must, as the Bernoulli surrogate does from the 0/1
+co-occurrence counts.  Only diagnostics.gram_deviation branches on the class,
+to read a circulant Gram from its generator without allocating p x p floats.
 
 A SurrogatePair holds its observations read-only and caches the score at zero,
 aty = A^T y, and yty = y^T y, so the solver's every score, aty - A^T A x, comes
@@ -229,15 +231,20 @@ class Circulant:
 
 @dataclass(eq=False)
 class Dense:
-    """Operator stored as its full matrix; gram_from, if given, builds A^T A."""
+    """Operator (dense - shift) / scale, applied from the stored matrix and never
+    formed; gram_from, if given, builds A^T A of the operator."""
 
     dense: np.ndarray
     gram_from: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    shift: float = 0.0
+    scale: float = 1.0
 
     def __post_init__(self):
         self.dense = np.asarray(self.dense, dtype=np.float64)
         if self.dense.ndim != 2:
             raise ValueError("dense payload must be a matrix")
+        if not (math.isfinite(self.shift) and 0.0 < self.scale < math.inf):
+            raise ValueError("shift must be finite and scale positive and finite")
 
     @property
     def n_rows(self) -> int:
@@ -248,19 +255,35 @@ class Dense:
         return self.dense.shape[1]
 
     def apply(self, x: np.ndarray, exact: bool = False) -> np.ndarray:
-        return self.dense @ x  # a matrix product is sign-exact already
+        # an unshifted matrix product is sign-exact already
+        return self._shifted(self.dense @ x, x)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.dense.T @ y
+        return self._shifted(self.dense.T @ y, y)
+
+    def _shifted(self, product: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(product - shift * sum(v)) / scale, in place: turns dense @ v or
+        dense^T @ v into the operator's product, as 11^T v is sum(v) 1."""
+        if self.shift:
+            product -= self.shift * v.sum()
+        product /= self.scale
+        return product
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """A^T A, read-only; refused above GRAM_MAX_P columns."""
+        """A^T A, read-only; refused above GRAM_MAX_P columns.  dense^T dense
+        is the Gram of the unshifted, unscaled operator only, so any other
+        must say how to build its own."""
         if self.n_cols > GRAM_MAX_P:
             raise MemoryGuardError(
                 f"dense gram for p = {self.n_cols} exceeds guard {GRAM_MAX_P}"
             )
-        gram = self.dense.T @ self.dense if self.gram_from is None else self.gram_from()
+        if self.gram_from is not None:
+            gram = self.gram_from()
+        elif self.shift or self.scale != 1.0:
+            raise ValueError("a shifted or scaled dense operator builds its gram from gram_from")
+        else:
+            gram = self.dense.T @ self.dense
         gram.flags.writeable = False
         return gram
 

@@ -1,6 +1,8 @@
 """Checks of the package against dense matrices, raw counts, the solver's
 earlier full-row loop and its earlier residual-route objective and gap, none
-of which it runs, and a counter of its design products."""
+of which it runs, a counter of its design products and a meter of its peak
+allocation."""
+import tracemalloc
 from collections import namedtuple
 from unittest.mock import patch
 
@@ -22,9 +24,10 @@ from wlasso.solver import (
 
 
 def dense_matrix(op: Circulant | Dense) -> np.ndarray:
-    """The operator as a matrix: entry (l, k) of a circulant is c[(l - k) mod p]."""
+    """The operator as a matrix: (dense - shift) / scale for a dense operator,
+    entry (l, k) equal to c[(l - k) mod p] for a circulant."""
     if isinstance(op, Dense):
-        return np.array(op.dense)
+        return (op.dense - op.shift) / op.scale
     p = op.n_cols
     return op.generator[(np.arange(p)[:, None] - np.arange(p)[None, :]) % p]
 
@@ -90,6 +93,16 @@ def count_products(monkeypatch):
 
             monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def peak_bytes(fn) -> int:
+    """Peak of the memory traced while fn() runs, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def residual_objective_and_gap(pair, weights, gamma, x) -> tuple[float, float]:

@@ -23,9 +23,11 @@ from wlasso.concentration import (
 )
 import wlasso.model
 from wlasso.errors import (
-    EnumerationGuardError, MemoryGuardError, ParameterError, RegimeViolationError,
+    MemoryGuardError, ParameterError, RegimeViolationError,
 )
 from wlasso.model import deviation_at_truth, make_sparse_signal, sample_poisson, trial_rng
+
+from reference import dense_matrix, peak_bytes
 
 
 def draw_instance(seed, n=400, p=30, q=0.4, s=3, l1=20.0):
@@ -76,7 +78,7 @@ class TestMomentOracles:
         for t in range(2000):
             inst = sample_bernoulli_matrix(50, 8, 0.3, trial_rng(9, t))
             pair = surrogate_bernoulli(inst, np.zeros(50))
-            vals.append(pair.a_tilde.dense.mean())
+            vals.append(dense_matrix(pair.a_tilde).mean())
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean()) <= 3.0 * se
@@ -87,7 +89,28 @@ class TestSurrogate:
         inst, _, y = draw_instance(2)
         pair = surrogate_bernoulli(inst, y)
         scale = math.sqrt(inst.n * inst.q * (1 - inst.q))
-        assert np.allclose(pair.a_tilde.dense, (inst.a - inst.q) / scale, atol=1e-14)
+        assert np.allclose(dense_matrix(pair.a_tilde), (inst.a - inst.q) / scale, atol=1e-14)
+
+    def test_design_is_shared_and_read_only(self):
+        inst, _, y = draw_instance(2)
+        pair = surrogate_bernoulli(inst, y)
+        assert np.shares_memory(pair.a_tilde.dense, inst.a)
+        with pytest.raises(ValueError):
+            inst.a[0, 0] = 1.0 - inst.a[0, 0]
+        with pytest.raises(ValueError):
+            pair.a_tilde.dense[0, 0] = 0.5
+
+    def test_makes_no_design_copy(self):
+        # the pair, its aty and the score at the truth stay far below one n x p float array
+        inst, sig, y = draw_instance(6, n=2000, p=200, q=0.5)
+        inst.co_occurrence  # drawn once per instance, before the pair
+
+        def build():
+            pair = surrogate_bernoulli(inst, y)
+            pair.aty
+            deviation_at_truth(pair, sig.dense())
+
+        assert peak_bytes(build) < inst.n * inst.p * 8 / 10
 
     def test_observations_sum_to_zero(self):
         inst, _, y = draw_instance(3)
@@ -178,10 +201,22 @@ class TestPairWeight:
                 direct /= (n * (n - 1) * q * (1 - q)) ** 2
                 assert max_pair_weight(inst) == direct.max()
 
-    def test_ops_guard(self):
-        inst, _, _ = draw_instance(8, n=100, p=20)
-        with pytest.raises(EnumerationGuardError):
-            max_pair_weight(inst, max_ops=1000.0)
+    def test_co_occurrence_guard_reads_gram_max_p(self, monkeypatch):
+        inst, _, y = draw_instance(8, n=100, p=20)
+        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 19)
+        with pytest.raises(MemoryGuardError, match="p = 20 exceed guard 19"):
+            max_pair_weight(inst)
+        with pytest.raises(MemoryGuardError):
+            constant_weights(inst, y)
+        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 20)
+        assert max_pair_weight(inst) > 0.0
+
+    def test_constant_weights_build_at_n2000_p800(self):
+        # n p^2 = 1.28e9: the same co-occurrence product the surrogate Gram needs
+        inst, _, y = draw_instance(10, n=2000, p=800, q=0.5)
+        w = constant_weights(inst, y)
+        assert w.values.shape == (800,)
+        assert np.all(np.isfinite(w.values)) and w.values[0] > 0.0
 
 
 class TestWeights:
@@ -309,7 +344,7 @@ class TestColumnStatistics:
         for seed in range(3):
             inst, _, y = draw_instance(seed, n=500, p=40, q=q)
             a_tilde = surrogate_bernoulli(inst, y).a_tilde
-            want = a_tilde.dense.T @ a_tilde.dense
+            want = dense_matrix(a_tilde).T @ dense_matrix(a_tilde)
             assert np.max(np.abs(a_tilde.gram - want)) <= 1e-12
 
     def test_one_co_occurrence_product_per_draw(self):

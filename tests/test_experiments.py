@@ -33,7 +33,7 @@ from wlasso.experiments import (
     tune_gamma,
 )
 
-from reference import count_products
+from reference import count_products, peak_bytes
 
 
 def conv_config(**over):
@@ -262,6 +262,15 @@ class TestRunTrial:
             out = run_trial(point, i, gammas)
             assert not out.failures and set(out.coverage) == set(kinds)
             assert calls == {"apply": 2, "adjoint": 2}
+
+    def test_bernoulli_trial_holds_one_design(self):
+        # the 0/1 draw is the trial's one n x p float array: its surrogate is
+        # applied from it, so the peak stays below 1.5 of those arrays
+        cfg = conv_config(model="bernoulli", p=200, n=2000, q=0.5, m_grid=(),
+                          gamma_grid=(2.1, 3.0, 4.0, 6.0, 8.0))
+        point = conv_point(cfg, m=0)
+        run_trial(point, 0, cfg.gamma_grid)  # first-use imports and caches
+        assert peak_bytes(lambda: run_trial(point, 1, cfg.gamma_grid)) < 1.5 * 2000 * 200 * 8
 
     def test_coverage_is_weights_cover_of_each_kind(self):
         # without the second-order term (c = 0) the estimated weights of this

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlasso.model
+from wlasso.bernoulli import sample_bernoulli_matrix, surrogate_bernoulli
 from wlasso.model import (
     SUPPORT_SUM_MAX,
     Circulant,
@@ -271,6 +272,40 @@ class TestGram:
         assert op.gram is op.gram
         with pytest.raises(ValueError):
             op.gram[0, 0] = 1.0
+
+
+class TestShiftedDense:
+    @pytest.mark.parametrize("q", [0.002, 0.03, 0.5, 0.97, 0.998])
+    def test_bernoulli_surrogate_equals_its_materialisation(self, q):
+        rng = trial_rng(21)
+        for n, p in ((400, 30), (2000, 200)):
+            inst = sample_bernoulli_matrix(n, p, q, rng)
+            op = surrogate_bernoulli(inst, np.zeros(n)).a_tilde
+            mat = dense_matrix(op)
+            x, y = rng.normal(size=p), rng.normal(size=n)
+            for got, want in ((apply(op, x), mat @ x), (apply_adjoint(op, y), mat.T @ y)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shift, scale", [(2.5, 1.0), (0.0, 1.7), (2.5, 1.7)])
+    def test_gram_without_gram_from_is_refused(self, shift, scale):
+        # dense^T dense would be the Gram of the unshifted matrix, not of the operator
+        op = Dense(trial_rng(22).normal(size=(40, 9)), shift=shift, scale=scale)
+        with pytest.raises(ValueError, match="gram_from"):
+            op.gram
+
+    def test_unshifted_products_keep_their_bits(self):
+        rng = trial_rng(23)
+        mat = rng.normal(size=(30, 12))
+        x, y = rng.normal(size=12), rng.normal(size=30)
+        op = Dense(mat)
+        assert np.array_equal(apply(op, x), mat @ x)
+        assert np.array_equal(apply_adjoint(op, y), mat.T @ y)
+        assert np.array_equal(op.gram, mat.T @ mat)
+
+    @pytest.mark.parametrize("shift, scale", [(np.nan, 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, np.inf)])
+    def test_rejects_bad_shift_or_scale(self, shift, scale):
+        with pytest.raises(ValueError):
+            Dense(np.ones((3, 2)), shift=shift, scale=scale)
 
 
 class TestForwardIntensity:
