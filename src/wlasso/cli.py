@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -26,7 +25,9 @@ from .config import (
 from .concentration import check_theta, tail_coverage_test
 from .diagnostics import assumption_report
 from .errors import ParameterError, WeightKindError
-from .experiments import ESTIMATOR_KINDS, run_mse_vs_m, run_mse_vs_p, rows_to_csv
+from .experiments import (
+    ESTIMATOR_OF, ExperimentConfig, estimates, run_mse_vs_m, run_mse_vs_p, rows_to_csv,
+)
 from .model import check_seed, trial_rng
 from .sensing import (
     MODELS,
@@ -38,7 +39,7 @@ from .sensing import (
     surrogate,
     weights,
 )
-from .solver import SolverConfig, oracle_least_squares, two_step, weighted_lasso
+from .solver import check_gamma
 
 
 class _UsageError(Exception):
@@ -162,29 +163,25 @@ def _cmd_solve(args) -> int:
     for kind in kinds:
         check_weight_kind(kind, x_star)
     pair = surrogate(inst, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        config = SolverConfig(gamma=args.gamma)
+    check_gamma(args.gamma)  # a usage error before any work
+    built = {kind: weights(kind, inst, pair, y, x_star, args.theta, args.c) for kind in kinds}
+    cells = [("ls_oracle", "none", 0.0)] if support is not None and support.size else []
+    cells += [(ESTIMATOR_OF[kind], kind, args.gamma) for kind in kinds]
     lines = []
-    if support is not None and support.size:
-        x_ls = oracle_least_squares(pair, support)
-        lines.append(f"estimator=ls_oracle weight_kind=none nmse={_nmse(x_ls, x_star)}")
-    for kind in kinds:
-        w = weights(kind, inst, pair, y, x_star, args.theta, args.c)
-        result = weighted_lasso(pair, w, config)
-        _, x_two = two_step(result.x_hat, pair, config.support_eps)
-        est = next(e for e, ks in ESTIMATOR_KINDS.items() if kind in ks)
-        parts = [
-            f"estimator={est}",
-            f"weight_kind={kind}",
-            f"kkt={_fmt(result.kkt_residual)}",
-            f"iterations={result.iterations}",
-            f"working_set={result.working_set}",
-            f"gap={_fmt(result.gap)}",
-            f"converged={'true' if result.converged else 'false'}",
-        ]
+    for (est, kind, _), result, x_hat in estimates(pair, support, built, cells, ExperimentConfig()):
+        if isinstance(x_hat, Exception):
+            raise x_hat
+        parts = [f"estimator={est}", f"weight_kind={kind}"]
         if x_star is not None:
-            parts.insert(2, f"nmse={_nmse(x_two, x_star)}")
+            parts.append(f"nmse={_nmse(x_hat, x_star)}")
+        if result is not None:
+            parts += [
+                f"kkt={_fmt(result.kkt_residual)}",
+                f"iterations={result.iterations}",
+                f"working_set={result.working_set}",
+                f"gap={_fmt(result.gap)}",
+                f"converged={'true' if result.converged else 'false'}",
+            ]
         lines.append(" ".join(parts))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

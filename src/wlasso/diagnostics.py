@@ -29,9 +29,10 @@ def gram_deviation(op: Circulant | Dense) -> float:
     return float(np.abs(op.gram - np.eye(op.n_cols)).max())
 
 
-def rip_lower_bruteforce(
-    op: Circulant | Dense, s: int, max_supports: int = 1_000_000
-) -> float:
+RIP_MAX_SUPPORTS = 1_000_000
+
+
+def rip_lower_bruteforce(op: Circulant | Dense, s: int) -> float:
     """Exact min over |J| = s supports of lambda_min(Gram_J).
 
     This is the sharpest valid 1 - delta for vectors supported on s
@@ -41,9 +42,9 @@ def rip_lower_bruteforce(
     if not 1 <= s <= p:
         raise ValueError("need 1 <= s <= p")
     n_supports = math.comb(p, s)
-    if n_supports > max_supports:
+    if n_supports > RIP_MAX_SUPPORTS:
         raise EnumerationGuardError(
-            f"C({p},{s}) = {n_supports} supports exceeds guard {max_supports}"
+            f"C({p},{s}) = {n_supports} supports exceeds guard {RIP_MAX_SUPPORTS}"
         )
     gram = op.gram
     if s == 1:

@@ -23,7 +23,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Optional, get_origin, get_type_hints
+from typing import Iterator, Optional, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,6 +42,7 @@ ESTIMATOR_KINDS = {
     "wlasso_two_step": ("nonconstant", "oracle"),
 }
 ESTIMATORS = tuple(ESTIMATOR_KINDS)
+ESTIMATOR_OF = {kind: est for est, kinds in ESTIMATOR_KINDS.items() for kind in kinds}
 TUNE_INDEX_BASE = 1 << 20
 
 
@@ -106,8 +107,8 @@ class ExperimentConfig:
                 f"{est} needs weight kind {' or '.join(ESTIMATOR_KINDS[est])}"
                 for est in sorted(keyless)
             ))
-        if self.m_coef <= 0:
-            raise ValueError("m_coef must be positive")
+        if not 0 < self.m_coef < math.inf:
+            raise ValueError("m_coef must be positive and finite")
         self._check_ranges()
 
     def _check_ranges(self) -> None:
@@ -158,6 +159,36 @@ def estimator_keys(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     ]
 
 
+def estimates(pair, support, built, cells, cfg: ExperimentConfig) -> Iterator[tuple]:
+    """The estimator rule: yield (cell, result, estimate) for each (estimator, kind, gamma) cell.
+
+    ls_oracle refits the true support and has no solve (result None).  Every
+    other estimator solves at built[kind], under cfg's solve settings at
+    gamma, and refits the support it detects.  Each distinct support is refit
+    once: the same Gram block gives the same bits.  The estimate is the error
+    raised in its place when the weights (built[kind] is that error), the
+    solve or the refit raised; an error is never cached, so it fails each of
+    its cells.  A result that did not converge is yielded as it is, with its
+    refit.  Lazy: a cell is estimated only when it is asked for, so a caller
+    that stops at an error does no further work.
+    """
+    refits: dict = {b"": np.zeros(pair.a_tilde.n_cols)}  # the empty support refits to zero
+    for est, kind, gamma in cells:
+        result = None
+        try:
+            if est != "ls_oracle":
+                if isinstance(built[kind], Exception):
+                    raise built[kind]
+                result = weighted_lasso(pair, built[kind], _solver_config(cfg, gamma))
+            cols = support if result is None else detected_support(result.x_hat, cfg.support_eps)
+            if cols.tobytes() not in refits:
+                refits[cols.tobytes()] = oracle_least_squares(pair, cols)
+            estimate = refits[cols.tobytes()]
+        except Exception as exc:  # noqa: BLE001 - yielded in the estimate's place
+            estimate = exc
+        yield (est, kind, gamma), result, estimate
+
+
 @dataclass
 class TrialOutcome:
     """nmse and failures keyed by (estimator, weight_kind, gamma); ls_oracle at gamma 0."""
@@ -176,7 +207,9 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     at the truth is computed once and serves every kind's coverage and the
     oracle weights, so a trial applies the design and its adjoint twice each
     (the intensity and aty, then that score), whatever its gammas and kinds.
-    Each distinct support is refit once: the same Gram block gives the same bits.
+    The estimates come from `estimates`, the estimator rule `wlasso solve`
+    shares; a solve that did not converge fails its cell as a
+    NonConvergenceError.
     """
     cfg = point.cfg
     rng = trial_rng(cfg.master_seed, trial_index)
@@ -200,37 +233,19 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
         except Exception as exc:  # noqa: BLE001 - fails each of its cells below
             built[kind] = exc
 
-    refits: dict = {}
-
-    def refit(cols):
-        if not cols.size:
-            return np.zeros(point.p)
-        key = cols.tobytes()
-        if key not in refits:  # a raised error is not cached, so it fails each cell
-            refits[key] = oracle_least_squares(pair, cols)
-        return refits[key]
-
-    def estimate(est, kind, gamma):
-        if est == "ls_oracle":
-            return refit(support)
-        if isinstance(built[kind], Exception):
-            raise built[kind]
-        result = weighted_lasso(pair, built[kind], _solver_config(cfg, gamma))
-        if not result.converged:
-            raise NonConvergenceError(result.iterations, result.kkt_residual)
-        return refit(detected_support(result.x_hat, cfg.support_eps))
-
     denom = cfg.target_l1 if cfg.target_l1 > 0 else 1.0
     nmse: dict = {}
     failures: dict = {}
     cells = [k + (0.0,) for k in keys if k[0] == "ls_oracle"]
     cells += [k + (gamma,) for gamma in gammas for k in keys if k[0] != "ls_oracle"]
-    for cell in cells:
-        try:
-            err = estimate(*cell) - x_star
+    for cell, result, x_hat in estimates(pair, support, built, cells, cfg):
+        if result is not None and not result.converged:
+            x_hat = NonConvergenceError(result.iterations, result.kkt_residual)
+        if isinstance(x_hat, Exception):  # recorded, not swallowed
+            failures[cell] = f"{type(x_hat).__name__}: {x_hat}"
+        else:
+            err = x_hat - x_star
             nmse[cell] = float(err @ err) / denom
-        except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
-            failures[cell] = f"{type(exc).__name__}: {exc}"
     return TrialOutcome(nmse=nmse, coverage=coverage, failures=failures)
 
 

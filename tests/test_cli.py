@@ -1,13 +1,18 @@
 """Command-line dispatch: exit codes, output shapes, seeding, precedence."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import wlasso.cli
+import wlasso.experiments
 import wlasso.model
 from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.cli import main
 from wlasso.convolution import sample_parents, sensing_operator
+from wlasso.experiments import ExperimentConfig, TrialPoint, run_trial
 from wlasso.model import apply, sample_poisson, trial_rng
 
 
@@ -137,7 +142,7 @@ class TestSolve:
     def test_unknown_weight_kind_rejected_before_any_work(self, monkeypatch, capsys):
         calls = []
         for name in ("oracle_least_squares", "weighted_lasso"):
-            monkeypatch.setattr(wlasso.cli, name, lambda *a, _n=name, **k: calls.append(_n))
+            monkeypatch.setattr(wlasso.experiments, name, lambda *a, _n=name, **k: calls.append(_n))
         code, _, err = run_cli(["solve", "--weights", "nonconstant,bogus"], capsys)
         assert code == 1
         assert "unknown weight kind 'bogus'" in err
@@ -145,7 +150,7 @@ class TestSolve:
 
     def test_oracle_without_truth_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(wlasso.cli, "weighted_lasso", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(wlasso.experiments, "weighted_lasso", lambda *a, **k: calls.append(a))
         path = tmp_path / "no_truth.npz"
         write_convolution_npz(path, with_x_star=False)
         code, out, err = run_cli(
@@ -171,7 +176,7 @@ class TestSolve:
         # a dense refit reads the design's Gram, which the guard refuses
         monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 10)
         calls = []
-        monkeypatch.setattr(wlasso.cli, "weighted_lasso", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(wlasso.experiments, "weighted_lasso", lambda *a, **k: calls.append(a))
         code, out, err = run_cli(
             ["solve", "--model", "bernoulli", "--p", "12", "--n", "500", "--s", "2",
              "--l1", "20", "--seed", "1"],
@@ -188,6 +193,38 @@ class TestSolve:
         code, out, _ = run_cli(["solve", "--instance", str(path)], capsys)
         assert code == 0
         assert out.startswith("estimator=ls_oracle")
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_agrees_with_run_trial(self, model, seed, capsys):
+        # one estimator rule: trial 0 of master seed k is the draw of --seed k
+        kinds = ("constant", "nonconstant", "oracle")
+        cfg = ExperimentConfig(model=model, p=300, s=5, target_l1=100.0, n=2000,
+                               master_seed=seed, weight_kinds=kinds)
+        point = TrialPoint(cfg, cfg.p, 40 if model == "convolution" else 0)
+        argv = ["solve", "--model", model, "--p", "300", "--s", "5", "--l1", "100",
+                "--m", "40", "--n", "2000", "--seed", str(seed), "--gamma", "4",
+                "--weights", ",".join(kinds)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        fields = [dict(part.split("=") for part in line.split()) for line in out.splitlines()]
+        got = {(f["estimator"], f["weight_kind"]): float(f["nmse"]) for f in fields}
+        want = {(est, kind): v for (est, kind, _), v in run_trial(point, 0, (4.0,)).nmse.items()}
+        assert len(got) == len(fields) == 4
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_cli_holds_no_estimator_rule():
+    # the estimator rule (solve, detect, refit) lives in experiments.estimates
+    # alone, so the command line cannot fork it
+    tree = ast.parse(Path(wlasso.cli.__file__).read_text())
+    names = {a.name.split(".")[-1] for n in ast.walk(tree)
+             if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert names.isdisjoint({
+        "weighted_lasso", "oracle_least_squares", "two_step", "detected_support", "SolverConfig",
+    })
 
 
 class TestInstanceValidation:
@@ -489,6 +526,8 @@ class TestExperiment:
         (SWEEP_CFG, ["p=1"], "p"),
         (SWEEP_CFG, ["allow_small_gamma=true", "gamma_grid=-1,4"], "gamma_grid"),
         (P_SWEEP_CFG, ["p_grid=3", "s=1"], "p_grid"),
+        (P_SWEEP_CFG, ["m_coef=nan"], "m_coef"),
+        (P_SWEEP_CFG, ["m_coef=inf"], "m_coef"),
         (BERNOULLI_CFG, ["q=1.5"], "q"),
         (BERNOULLI_CFG, ["weight_c=-5"], "weight_c"),
         (BERNOULLI_CFG, ["weight_c=inf"], "weight_c"),
@@ -496,8 +535,9 @@ class TestExperiment:
         (BERNOULLI_CFG, ["p_grid=1", "s=1"], "p_grid"),
         (SWEEP_CFG, ["master_seed=-3"], "master_seed"),
     ], ids=["max_iter", "tol_kkt", "support_eps", "s", "target_l1", "p", "gamma_grid",
-            "p_grid-m-zero", "q", "weight_c-negative", "weight_c-infinite",
-            "m_grid-bernoulli", "bernoulli-p_grid-one", "master_seed-negative"])
+            "p_grid-m-zero", "m_coef-nan", "m_coef-infinite", "q", "weight_c-negative",
+            "weight_c-infinite", "m_grid-bernoulli", "bernoulli-p_grid-one",
+            "master_seed-negative"])
     def test_out_of_range_key_is_usage_error(self, cfg_text, overrides, key, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(cfg_text)
