@@ -40,7 +40,7 @@ from .concentration import (
 )
 from . import model
 from .errors import MemoryGuardError, ParameterError, RegimeViolationError
-from .model import Dense, SurrogatePair
+from .model import Dense, SurrogatePair, check_length
 from .solver import WeightVector
 
 
@@ -87,6 +87,7 @@ class BernoulliInstance:
 def check_design(n: int, p: int, q: float) -> None:
     if n < 2:
         raise ParameterError("n", "must be >= 2", n)
+    check_length("n", n)
     if p < 2:
         raise ParameterError("p", "must be >= 2", p)
     if not 0.0 < q < 1.0:

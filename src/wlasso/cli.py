@@ -25,9 +25,7 @@ from .config import (
 from .concentration import check_theta, tail_coverage_test
 from .diagnostics import assumption_report
 from .errors import ParameterError, WeightKindError
-from .experiments import (
-    ESTIMATOR_OF, ExperimentConfig, estimates, run_mse_vs_m, run_mse_vs_p, rows_to_csv,
-)
+from .experiments import ESTIMATOR_OF, estimates, run_mse_vs_m, run_mse_vs_p, rows_to_csv
 from .model import check_seed, trial_rng
 from .sensing import (
     MODELS,
@@ -168,7 +166,7 @@ def _cmd_solve(args) -> int:
     cells = [("ls_oracle", "none", 0.0)] if support is not None and support.size else []
     cells += [(ESTIMATOR_OF[kind], kind, args.gamma) for kind in kinds]
     lines = []
-    for (est, kind, _), result, x_hat in estimates(pair, support, built, cells, ExperimentConfig()):
+    for (est, kind, _), result, x_hat in estimates(pair, support, built, cells):
         if isinstance(x_hat, Exception):
             raise x_hat
         parts = [f"estimator={est}", f"weight_kind={kind}"]
@@ -213,8 +211,6 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.threads < 0:
-        raise _UsageError(f"--threads must be >= 0 (0 = all cores), got {args.threads}")
     mapping: dict[str, str] = {}
     if args.config:
         with open(args.config) as handle:
@@ -231,16 +227,10 @@ def _cmd_experiment(args) -> int:
     if args.dump_config:
         with open(args.dump_config, "w") as handle:
             handle.write(format_experiment_config(cfg))
-    if cfg.m_grid and cfg.p_grid:
-        raise _UsageError("config sets both m_grid and p_grid; pick one sweep")
     if not (cfg.m_grid or cfg.p_grid):
         raise _UsageError("config needs m_grid or p_grid")
     sweep = run_mse_vs_m if cfg.m_grid else run_mse_vs_p
-    try:
-        rows = sweep(cfg, threads=args.threads)
-    except ParameterError as exc:  # a key the sweep itself rejects, before any trial
-        raise _UsageError(str(exc)) from exc
-    _emit(rows_to_csv(rows), args.out)
+    _emit(rows_to_csv(sweep(cfg, threads=args.threads)), args.out)
     return 0
 
 
@@ -332,8 +322,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParameterError as exc:
-        # outside experiment every checked parameter comes from a flag of its name,
-        # except those _FLAG_OF renames
+        # config keys fail as usage errors first, so this names a flag (or _FLAG_OF's)
         flag = _FLAG_OF.get(exc.name, exc.name)
         print(f"error: --{flag} {exc.why}, got {exc.value}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from .concentration import (
     variance_envelope,
 )
 from .errors import ParameterError
-from .model import Circulant, SurrogatePair, cyclic_correlate
+from .model import Circulant, SurrogatePair, check_length, cyclic_correlate
 from .solver import WeightVector
 
 
@@ -54,6 +54,7 @@ def check_parents(p: int, m: int) -> None:
         raise ParameterError("p", "must be >= 2", p)
     if m < 1:
         raise ParameterError("m", "must be >= 1", m)
+    check_length("m", m)
 
 
 def sample_parents(p: int, m: int, rng: np.random.Generator) -> ConvolutionInstance:

@@ -28,11 +28,13 @@ from typing import Iterator, Optional, get_origin, get_type_hints
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
-from .model import check_seed, deviation_at_truth, trial_rng
+from .model import MAX_LENGTH, check_seed, deviation_at_truth, trial_rng
 from .sensing import (
     MODELS, WEIGHT_KINDS, check_params, draw, oracle_weights, surrogate, weights,
 )
-from .solver import SolverConfig, detected_support, weighted_lasso, oracle_least_squares
+from .solver import (
+    SolverConfig, check_gamma, detected_support, weighted_lasso, oracle_least_squares,
+)
 from .diagnostics import weights_cover
 
 # estimator -> the weight kinds it runs with, in output order
@@ -68,9 +70,6 @@ class ExperimentConfig:
     weight_c: float = 1.0
     noiseless: bool = False
     allow_small_gamma: bool = False
-    tol_kkt: float = 1e-8
-    max_iter: int = 10_000
-    support_eps: float = 1e-9
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -83,6 +82,10 @@ class ExperimentConfig:
                 raise ValueError(f"{label} must be strictly increasing")
             if any(v < 1 for v in grid):
                 raise ValueError(f"{label} values must be >= 1")
+        if self.m_grid and self.p_grid:
+            raise ValueError("config sets both m_grid and p_grid; pick one sweep")
+        if self.m_grid and self.model != "convolution":
+            raise ParameterError("m_grid", "needs model = convolution", self.model)
         if not self.gamma_grid:
             raise ValueError("gamma_grid must be nonempty")
         if any(b <= a for a, b in zip(self.gamma_grid, self.gamma_grid[1:])):
@@ -113,26 +116,28 @@ class ExperimentConfig:
 
     def _check_ranges(self) -> None:
         """Reject, naming the key, what a solve at some gamma or a draw at some point would."""
-        points = [(self.p, m, {"m": "m_grid"}) for m in self.m_grid]
-        points += [(p, _m_at(self, p), {"p": "p_grid", "m": "p_grid"}) for p in self.p_grid]
-        renamed: dict = {}
         try:
             check_seed(self.master_seed, "master_seed")
             for gamma in self.gamma_grid:
-                _solver_config(self, gamma)
-            for p, m, renamed in points:
+                check_gamma(gamma)
+            points = [(self.p, m) for m in self.m_grid] + [(p, _m_at(self, p)) for p in self.p_grid]
+            for p, m in points:
                 check_params(
                     self.model, p, self.s, self.target_l1,
                     m=m, n=self.n, q=self.q, c=self.weight_c,
                 )
-        except ParameterError as exc:
-            key = {"gamma": "gamma_grid", "c": "weight_c", **renamed}.get(exc.name, exc.name)
+        except ParameterError as exc:  # a point's p and m come from the one grid set
+            grid = {"m": "m_grid"} if self.m_grid else {"p": "p_grid", "m": "p_grid"}
+            key = {"gamma": "gamma_grid", "c": "weight_c", **grid}.get(exc.name, exc.name)
             raise ValueError(str(exc) if key == exc.name else f"{key}: {exc}") from exc
 
 
 def m_from_p(p: int, m_coef: float) -> int:
     """Parent-count rule m = round(m_coef * sqrt(p) * log p) for p sweeps."""
-    return int(round(m_coef * math.sqrt(p) * math.log(p)))
+    m = m_coef * math.sqrt(p) * math.log(p)
+    if not m <= MAX_LENGTH:  # inf, or no array numpy can hold
+        raise ParameterError("m_coef", f"gives m = {m:.3g} at p = {p}, too long for numpy", m_coef)
+    return int(round(m))
 
 
 def _m_at(cfg: ExperimentConfig, p: int) -> int:
@@ -159,18 +164,18 @@ def estimator_keys(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     ]
 
 
-def estimates(pair, support, built, cells, cfg: ExperimentConfig) -> Iterator[tuple]:
+def estimates(pair, support, built, cells) -> Iterator[tuple]:
     """The estimator rule: yield (cell, result, estimate) for each (estimator, kind, gamma) cell.
 
     ls_oracle refits the true support and has no solve (result None).  Every
-    other estimator solves at built[kind], under cfg's solve settings at
-    gamma, and refits the support it detects.  Each distinct support is refit
-    once: the same Gram block gives the same bits.  The estimate is the error
-    raised in its place when the weights (built[kind] is that error), the
-    solve or the refit raised; an error is never cached, so it fails each of
-    its cells.  A result that did not converge is yielded as it is, with its
-    refit.  Lazy: a cell is estimated only when it is asked for, so a caller
-    that stops at an error does no further work.
+    other estimator solves at built[kind] under `_solver_config(gamma)` and
+    refits the support it detects.  Each distinct support is refit once: the
+    same Gram block gives the same bits.  The estimate is the error raised in
+    its place when the weights (built[kind] is that error), the solve or the
+    refit raised; an error is never cached, so it fails each of its cells.  A
+    result that did not converge is yielded as it is, with its refit.  Lazy:
+    a cell is estimated only when it is asked for, so a caller that stops at
+    an error does no further work.
     """
     refits: dict = {b"": np.zeros(pair.a_tilde.n_cols)}  # the empty support refits to zero
     for est, kind, gamma in cells:
@@ -179,8 +184,8 @@ def estimates(pair, support, built, cells, cfg: ExperimentConfig) -> Iterator[tu
             if est != "ls_oracle":
                 if isinstance(built[kind], Exception):
                     raise built[kind]
-                result = weighted_lasso(pair, built[kind], _solver_config(cfg, gamma))
-            cols = support if result is None else detected_support(result.x_hat, cfg.support_eps)
+                result = weighted_lasso(pair, built[kind], _solver_config(gamma))
+            cols = support if result is None else detected_support(result.x_hat)
             if cols.tobytes() not in refits:
                 refits[cols.tobytes()] = oracle_least_squares(pair, cols)
             estimate = refits[cols.tobytes()]
@@ -238,7 +243,7 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     failures: dict = {}
     cells = [k + (0.0,) for k in keys if k[0] == "ls_oracle"]
     cells += [k + (gamma,) for gamma in gammas for k in keys if k[0] != "ls_oracle"]
-    for cell, result, x_hat in estimates(pair, support, built, cells, cfg):
+    for cell, result, x_hat in estimates(pair, support, built, cells):
         if result is not None and not result.converged:
             x_hat = NonConvergenceError(result.iterations, result.kkt_residual)
         if isinstance(x_hat, Exception):  # recorded, not swallowed
@@ -249,13 +254,11 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     return TrialOutcome(nmse=nmse, coverage=coverage, failures=failures)
 
 
-def _solver_config(cfg: ExperimentConfig, gamma: float) -> SolverConfig:
-    """The solve settings of a config at gamma; gamma <= 2 does not warn."""
+def _solver_config(gamma: float) -> SolverConfig:
+    """SolverConfig at gamma, minus its gamma <= 2 warning (allow_small_gamma opens such grids)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        return SolverConfig(
-            gamma=gamma, tol_kkt=cfg.tol_kkt, max_iter=cfg.max_iter, support_eps=cfg.support_eps,
-        )
+        return SolverConfig(gamma)
 
 
 def _map_trials(point, indices, gammas, pool) -> list[TrialOutcome]:
@@ -369,16 +372,14 @@ def run_point(point: TrialPoint, pool: Optional[Executor] = None) -> list[Experi
 def _sweep(points, threads: int) -> list[ExperimentRow]:
     """Rows of every point in order, on one process pool (none at threads = 1)."""
     if threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 = all cores), got {threads}")
+        raise ParameterError("threads", "must be >= 0 (0 = all cores)", threads)
     workers = threads or os.cpu_count() or 1
     with nullcontext() if threads == 1 else ProcessPoolExecutor(workers) as pool:
         return [row for point in points for row in run_point(point, pool)]
 
 
 def run_mse_vs_m(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:
-    """Error-versus-parents sweep; rows appear in increasing m."""
-    if cfg.model != "convolution":
-        raise ParameterError("m_grid", "needs model = convolution", cfg.model)
+    """Error-versus-parents sweep, convolution only; rows appear in increasing m."""
     return _sweep([TrialPoint(cfg, cfg.p, m) for m in cfg.m_grid], threads)
 
 

@@ -44,6 +44,11 @@ import numpy.random  # noqa: F401
 from .errors import MemoryGuardError, ParameterError
 
 
+def check_length(name: str, value: int) -> None:
+    if value > MAX_LENGTH:
+        raise ParameterError(name, f"must be <= {MAX_LENGTH}, numpy's largest array length", value)
+
+
 def check_seed(seed: int, name: str = "seed") -> int:
     """A master seed must be >= 0, as numpy's SeedSequence requires."""
     if seed < 0:
@@ -99,7 +104,8 @@ class SparseSignal:
 
 
 def check_signal(p: int, s: int, target_l1: float) -> None:
-    """Raise the ParameterError make_sparse_signal would raise for s and target_l1."""
+    """Raise the ParameterError make_sparse_signal would raise for p, s and target_l1."""
+    check_length("p", p)
     if not 0 <= s <= p:
         raise ParameterError("s", f"must lie in [0, p = {p}]", s)
     if s == 0:
@@ -155,6 +161,7 @@ def sample_poisson(intensity, rng: np.random.Generator) -> PoissonObservations:
 
 SUPPORT_SUM_MAX = 64
 GRAM_MAX_P = 4096
+MAX_LENGTH = int(np.iinfo(np.intp).max)  # numpy's largest array length
 
 
 def cyclic_convolve(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:

@@ -39,7 +39,7 @@ class SolverConfig:
     gamma: float
     tol_kkt: float = 1e-8
     max_iter: int = 10_000
-    support_eps: float = 1e-9
+    support_eps: float = 1e-9  # detected_support's threshold
 
     def __post_init__(self):
         check_gamma(self.gamma)
@@ -298,13 +298,13 @@ def oracle_least_squares(pair: SurrogatePair, support) -> np.ndarray:
     return x
 
 
-def detected_support(x: np.ndarray, support_eps: float = 1e-9) -> np.ndarray:
+def detected_support(x: np.ndarray, support_eps: float = SolverConfig.support_eps) -> np.ndarray:
     """Indices of the coordinates of x larger than support_eps in magnitude."""
     return np.flatnonzero(np.abs(x) > support_eps)
 
 
 def two_step(
-    first_stage: np.ndarray, pair: SurrogatePair, support_eps: float = 1e-9
+    first_stage: np.ndarray, pair: SurrogatePair, support_eps: float = SolverConfig.support_eps
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refit least squares on the detected support of a first-stage estimate."""
     first_stage = np.asarray(first_stage, dtype=np.float64)

@@ -259,6 +259,17 @@ class TestInstanceValidation:
         assert code == 1, err
         assert f"'{key}'" in err
 
+    def test_file_without_design_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "no_design.npz"
+        np.savez(path, y=np.ones(30), x_star=np.ones(30))
+        code, out, err = run_cli(["solve", "--instance", str(path)], capsys)
+        assert code == 1, err
+        assert out == ""
+        assert err == "error: instance file needs either 'counts' or 'a'\n"
+
+
+BIG = str(10 ** 30)  # above numpy's largest array length
+
 
 class TestInstanceFlags:
     """Out-of-range generation flags are usage errors naming the flag."""
@@ -294,6 +305,10 @@ class TestInstanceFlags:
         (["solve", "--seed", "-1"], "--seed"),
         (["concentration-test", "--seed", "-1"], "--seed"),
         (["experiment", "--seed", "-3", "--set", "m_grid=6"], "--seed"),
+        (["solve", "--p", "50", "--m", BIG, "--s", "2"], "--m"),
+        (["solve", "--model", "bernoulli", "--n", BIG, "--p", "50", "--s", "2"], "--n"),
+        (["solve", "--p", BIG, "--m", "5", "--s", "2"], "--p"),
+        (["solve", "--model", "bernoulli", "--n", "100", "--p", BIG, "--s", "2"], "--p"),
     ], ids=["q-outside", "n-small", "bernoulli-p-zero", "bernoulli-p-one", "s-above-p-1",
             "p-small", "m-zero",
             "s-above-p", "l1-without-s", "l1-negative", "l1-infinite", "theta-negative",
@@ -301,7 +316,8 @@ class TestInstanceFlags:
             "c-negative", "solve-c-negative", "c-nan", "diagnose-oracle-theta",
             "solve-oracle-theta", "trials-zero", "intensity-negative", "intensity-nan",
             "conc-n-zero", "rip-s-zero", "rip-s-above-p", "seed-negative",
-            "conc-seed-negative", "experiment-seed-negative"])
+            "conc-seed-negative", "experiment-seed-negative", "m-above-array-length",
+            "n-above-array-length", "p-above-array-length", "bernoulli-p-above-array-length"])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1, err
@@ -378,6 +394,14 @@ class TestDiagnose:
         assert code == 0
         for key in ("re_bound", "re_valid", "support_pass", "support_lhs", "support_rhs"):
             assert f"\n{key} =\n" in out
+
+    def test_instance_without_truth_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "no_truth.npz"
+        write_convolution_npz(path, with_x_star=False)
+        code, out, err = run_cli(["diagnose", "--instance", str(path)], capsys)
+        assert code == 1, err
+        assert out == ""
+        assert err == "error: diagnose needs x_star (generated instances have it)\n"
 
 
 class TestConcentrationTest:
@@ -518,9 +542,6 @@ class TestExperiment:
         assert "--threads" in err
 
     @pytest.mark.parametrize("cfg_text, overrides, key", [
-        (SWEEP_CFG, ["max_iter=0"], "max_iter"),
-        (SWEEP_CFG, ["tol_kkt=0"], "tol_kkt"),
-        (SWEEP_CFG, ["support_eps=-1e-9"], "support_eps"),
         (SWEEP_CFG, ["s=-1"], "s"),
         (SWEEP_CFG, ["target_l1=-3"], "target_l1"),
         (SWEEP_CFG, ["p=1"], "p"),
@@ -528,14 +549,17 @@ class TestExperiment:
         (P_SWEEP_CFG, ["p_grid=3", "s=1"], "p_grid"),
         (P_SWEEP_CFG, ["m_coef=nan"], "m_coef"),
         (P_SWEEP_CFG, ["m_coef=inf"], "m_coef"),
+        (P_SWEEP_CFG, ["m_coef=1e300", "trials=1", "tune_trials=1"], "m_coef"),
+        (P_SWEEP_CFG, ["m_coef=1e308", "trials=1", "tune_trials=1"], "m_coef"),
         (BERNOULLI_CFG, ["q=1.5"], "q"),
         (BERNOULLI_CFG, ["weight_c=-5"], "weight_c"),
         (BERNOULLI_CFG, ["weight_c=inf"], "weight_c"),
         (BERNOULLI_CFG, ["p_grid=", "m_grid=10"], "m_grid"),
         (BERNOULLI_CFG, ["p_grid=1", "s=1"], "p_grid"),
         (SWEEP_CFG, ["master_seed=-3"], "master_seed"),
-    ], ids=["max_iter", "tol_kkt", "support_eps", "s", "target_l1", "p", "gamma_grid",
-            "p_grid-m-zero", "m_coef-nan", "m_coef-infinite", "q", "weight_c-negative",
+    ], ids=["s", "target_l1", "p", "gamma_grid",
+            "p_grid-m-zero", "m_coef-nan", "m_coef-infinite", "m-above-array-length",
+            "m-rule-infinite", "q", "weight_c-negative",
             "weight_c-infinite", "m_grid-bernoulli", "bernoulli-p_grid-one",
             "master_seed-negative"])
     def test_out_of_range_key_is_usage_error(self, cfg_text, overrides, key, tmp_path, capsys):

@@ -92,7 +92,7 @@ class TestRoundTrip:
             gamma_grid=(2.5,),
             estimators=("ls_oracle", "lasso_two_step"),
             weight_kinds=("constant",),
-            tol_kkt=1e-7,
+            weight_c=0.5,
         )
         again = experiment_config_from_mapping(
             parse_config_text(format_experiment_config(cfg))

@@ -5,7 +5,7 @@ import pickle
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from wlasso.diagnostics import weights_cover
 from wlasso.errors import SingularDesignError
 from wlasso.model import deviation_at_truth, trial_rng
 from wlasso.sensing import draw, surrogate, weights
-from wlasso.solver import detected_support
+from wlasso.solver import SolverConfig, detected_support
 from wlasso.experiments import (
     CSV_HEADER,
     TUNE_INDEX_BASE,
@@ -60,12 +60,22 @@ def bern_point():
     return conv_point(conv_config(model="bernoulli", p=40, n=300, q=0.5, m_grid=()), m=0)
 
 
+def one_sweep_config(gamma):
+    """A stand-in for experiments._solver_config that stops every solve after one sweep."""
+    return SolverConfig(gamma, max_iter=1)
+
+
 def cells(point, gamma):
     """The outcome keys of a run at one gamma: ls_oracle sits at gamma 0."""
     return [key + (0.0 if key[0] == "ls_oracle" else gamma,) for key in estimator_keys(point.cfg)]
 
 
 class TestConfig:
+    def test_shares_no_setting_with_the_solver(self):
+        # a solve setting lives on SolverConfig alone
+        shared = {f.name for f in fields(ExperimentConfig)} & {f.name for f in fields(SolverConfig)}
+        assert not shared
+
     def test_m_rule_frozen(self):
         assert m_from_p(5000, 0.25) == 151
         assert m_from_p(1000, 0.25) == 55
@@ -186,8 +196,9 @@ class TestRunTrial:
         assert all(v >= 0 for v in out.nmse.values())
         assert set(out.coverage) == {"constant", "nonconstant"}
 
-    def test_nonconverged_solve_is_a_failure(self):
-        point = conv_point(conv_config(max_iter=1, target_l1=100.0))
+    def test_nonconverged_solve_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(wlasso.experiments, "_solver_config", one_sweep_config)
+        point = conv_point(conv_config(target_l1=100.0))
         out = run_trial(point, 0, (4.0,))
         for key in (("lasso_two_step", "constant", 4.0), ("wlasso_two_step", "nonconstant", 4.0)):
             assert key not in out.nmse
@@ -229,6 +240,27 @@ class TestRunTrial:
             assert len(supports) > len(distinct) > 1
             assert sorted(refits) == sorted(distinct)
             assert not out.failures
+
+    def test_failed_weights_fail_each_of_their_cells(self):
+        # nq = 10 is too small for the l1 estimator both Bernoulli weight kinds read
+        cfg = ExperimentConfig(
+            model="bernoulli", p=40, n=20, s=3, target_l1=30.0, p_grid=(40,),
+            trials=2, tune_trials=2, gamma_grid=(2.1, 4.0),
+        )
+        out = run_trial(TrialPoint(cfg, 40, 0), 0, (2.1, 4.0))
+        weighted = [
+            (est, kind, gamma) for gamma in (2.1, 4.0)
+            for est, kind in (("lasso_two_step", "constant"), ("wlasso_two_step", "nonconstant"))
+        ]
+        assert set(out.failures) == set(weighted)
+        assert all(v.startswith("RegimeViolationError: ") for v in out.failures.values())
+        assert set(out.nmse) == {("ls_oracle", "none", 0.0)}
+        assert out.coverage == {}
+        for line in rows_to_csv(run_mse_vs_p(cfg)).splitlines()[1:]:
+            row = dict(zip(CSV_HEADER.split(","), line.split(",")))
+            if row["estimator"] != "ls_oracle":
+                assert row["failures"] == str(cfg.trials), line
+                assert row["gamma_star"] == "", line
 
     def test_failed_refit_fails_each_of_its_cells(self, monkeypatch):
         point = bern_point()
@@ -442,9 +474,8 @@ class TestRunPoint:
 
 class TestSweeps:
     def test_m_sweep_needs_convolution(self):
-        cfg = conv_config(model="bernoulli", p=40, n=300, m_grid=(8, 16))
-        with pytest.raises(ValueError):
-            run_mse_vs_m(cfg)
+        with pytest.raises(ValueError, match="m_grid"):
+            conv_config(model="bernoulli", p=40, n=300, m_grid=(8, 16))
 
     def test_empty_sweep_gives_empty_table(self):
         cfg = conv_config(m_grid=())
@@ -501,9 +532,10 @@ class TestSweeps:
         )
         assert out.stdout.strip() == "[]"
 
-    def test_nonconverged_solves_counted_in_csv(self):
+    def test_nonconverged_solves_counted_in_csv(self, monkeypatch):
         # no solve converges in one sweep, so no estimator can be tuned either
-        cfg = conv_config(max_iter=1, target_l1=100.0)
+        monkeypatch.setattr(wlasso.experiments, "_solver_config", one_sweep_config)
+        cfg = conv_config(target_l1=100.0)
         lines = rows_to_csv(run_mse_vs_m(cfg)).splitlines()
         header = CSV_HEADER.split(",")
         for line in lines[1:]:
@@ -515,7 +547,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("sweep", [run_mse_vs_m, run_mse_vs_p])
     def test_negative_threads_rejected(self, sweep):
-        cfg = conv_config(p_grid=(60,), m_grid=(8,)) if sweep is run_mse_vs_p else conv_config()
+        cfg = conv_config(p_grid=(60,), m_grid=()) if sweep is run_mse_vs_p else conv_config()
         with pytest.raises(ValueError, match="threads"):
             sweep(cfg, threads=-1)
 
