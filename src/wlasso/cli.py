@@ -224,11 +224,11 @@ def _cmd_experiment(args) -> int:
         cfg = experiment_config_from_mapping(mapping)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc)) from exc
+    if not (cfg.m_grid or cfg.p_grid):
+        raise _UsageError("config needs m_grid or p_grid")
     if args.dump_config:
         with open(args.dump_config, "w") as handle:
             handle.write(format_experiment_config(cfg))
-    if not (cfg.m_grid or cfg.p_grid):
-        raise _UsageError("config needs m_grid or p_grid")
     sweep = run_mse_vs_m if cfg.m_grid else run_mse_vs_p
     _emit(rows_to_csv(sweep(cfg, threads=args.threads)), args.out)
     return 0

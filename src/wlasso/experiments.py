@@ -1,14 +1,14 @@
 """Monte Carlo MSE harness: seeded trials, gamma tuning, CSV output.
 
 Every trial is a pure function of (master_seed, trial_index): one signal
-draw, sensing draw and Poisson draw, one set of weights, then each requested
-estimator at every requested gamma, each gamma solved from a cold start.
-Tuning runs each trial of a disjoint block of indices once over the whole
-gamma grid, so evaluation trials never leak into the gamma choice; evaluation
-then runs each trial once over the tuned gammas.  A sweep runs every trial on
-one process pool (none at one thread).  Aggregation folds results in
-trial-index order, so thread counts and completion order cannot change a
-single output byte.
+draw, sensing draw and Poisson draw, weights for the kinds its cells name,
+then each (estimator, weight kind, gamma) cell it is given, each solved from a
+cold start.  Tuning runs each trial of a disjoint block of indices once over
+every tuned key's gamma grid, so evaluation trials never leak into the gamma
+choice; evaluation then runs each trial once with every key at its own tuned
+gamma.  A sweep runs every trial on one process pool (none at one thread).
+Aggregation folds results in trial-index order, so thread counts and
+completion order cannot change a single output byte.
 
 ExperimentConfig is the schema of a sweep: each setting's name, type, default
 and order live on it once, and config parsing, trial points, estimator keys
@@ -46,6 +46,11 @@ ESTIMATOR_KINDS = {
 ESTIMATORS = tuple(ESTIMATOR_KINDS)
 ESTIMATOR_OF = {kind: est for est, kinds in ESTIMATOR_KINDS.items() for kind in kinds}
 TUNE_INDEX_BASE = 1 << 20
+
+
+def key_gammas(cfg: ExperimentConfig, key: tuple[str, str]) -> tuple[float, ...]:
+    """The gammas a key is tuned over: ls_oracle solves nothing, so (0.0,); else the grid."""
+    return (0.0,) if key[0] == "ls_oracle" else cfg.gamma_grid
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,10 @@ class ExperimentConfig:
             raise ValueError("trials and tune_trials must be >= 1")
         if self.trials > TUNE_INDEX_BASE or self.tune_trials > TUNE_INDEX_BASE:
             raise ValueError("trial counts exceed the tuning index block")
+        if not self.estimators:
+            raise ValueError("estimators must be nonempty")
         unknown = set(self.estimators) - set(ESTIMATORS)
-        if unknown or not self.estimators:
+        if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
         unknown = set(self.weight_kinds) - set(WEIGHT_KINDS)
         if unknown:
@@ -196,25 +203,26 @@ def estimates(pair, support, built, cells) -> Iterator[tuple]:
 
 @dataclass
 class TrialOutcome:
-    """nmse and failures keyed by (estimator, weight_kind, gamma); ls_oracle at gamma 0."""
+    """nmse and failures keyed by (estimator, weight_kind, gamma) cell, coverage by
+    weight kind; a kind that builds no weights (ls_oracle's none) has no coverage."""
 
     nmse: dict
     coverage: dict
     failures: dict
 
 
-def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) -> TrialOutcome:
-    """One seeded trial: one draw, then every estimator at every gamma.
+def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> TrialOutcome:
+    """One seeded trial: one draw, then exactly the (estimator, kind, gamma) cells given.
 
-    The draw, the surrogate pair, the weights, their coverage and ls_oracle do
-    not depend on gamma, so each is built once; every gamma is solved from a
-    cold start, so its numbers do not depend on the other gammas.  The score
-    at the truth is computed once and serves every kind's coverage and the
-    oracle weights, so a trial applies the design and its adjoint twice each
-    (the intensity and aty, then that score), whatever its gammas and kinds.
-    The estimates come from `estimates`, the estimator rule `wlasso solve`
-    shares; a solve that did not converge fails its cell as a
-    NonConvergenceError.
+    The draw, the surrogate pair, and each kind's weights and coverage do not
+    depend on gamma, so each is built once, and only for the kinds the cells
+    name; every cell is solved from a cold start, so its numbers do not depend
+    on the other cells.  The score at the truth is computed once and serves
+    every kind's coverage and the oracle weights, so a trial applies the
+    design and its adjoint twice each (the intensity and aty, then that
+    score), whatever its cells.  The estimates come from `estimates`, the
+    estimator rule `wlasso solve` shares; a solve that did not converge fails
+    its cell as a NonConvergenceError.
     """
     cfg = point.cfg
     rng = trial_rng(cfg.master_seed, trial_index)
@@ -224,11 +232,10 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     )
     pair = surrogate(inst, y)
 
-    keys = estimator_keys(cfg)
     built: dict = {}
     coverage: dict = {}
     deviation = deviation_at_truth(pair, x_star)
-    for kind in dict.fromkeys(k for _, k in keys if k != "none"):
+    for kind in dict.fromkeys(kind for _, kind, _ in cells if kind != "none"):
         try:
             if kind == "oracle":
                 built[kind] = oracle_weights(deviation)
@@ -241,8 +248,6 @@ def run_trial(point: TrialPoint, trial_index: int, gammas: tuple[float, ...]) ->
     denom = cfg.target_l1 if cfg.target_l1 > 0 else 1.0
     nmse: dict = {}
     failures: dict = {}
-    cells = [k + (0.0,) for k in keys if k[0] == "ls_oracle"]
-    cells += [k + (gamma,) for gamma in gammas for k in keys if k[0] != "ls_oracle"]
     for cell, result, x_hat in estimates(pair, support, built, cells):
         if result is not None and not result.converged:
             x_hat = NonConvergenceError(result.iterations, result.kkt_residual)
@@ -261,39 +266,35 @@ def _solver_config(gamma: float) -> SolverConfig:
         return SolverConfig(gamma)
 
 
-def _map_trials(point, indices, gammas, pool) -> list[TrialOutcome]:
-    """run_trial at each index over the gammas, in index order, serially or on the pool."""
-    args = (repeat(point), indices, repeat(gammas))
+def _map_trials(point, indices, cells, pool) -> list[TrialOutcome]:
+    """run_trial at each index over the same cells, in index order, serially or on the pool."""
+    args = (repeat(point), indices, repeat(cells))
     return list(map(run_trial, *args) if pool is None else pool.map(run_trial, *args))
 
 
 def tune_gamma(
     point: TrialPoint, pool: Optional[Executor] = None
 ) -> dict[tuple[str, str], Optional[float]]:
-    """Pick gamma per estimator on a disjoint tuning block; ties go small.
+    """Pick gamma per estimator key on a disjoint tuning block; ties go small.
 
-    Every gamma is scored on the same trials: those the estimator finished at
-    every gamma of the grid.  If there are none, its gamma is None (untuned).
+    A key with one gamma (see `key_gammas`) needs no tuning and runs no trial.
+    Every gamma of a key is scored on the same trials: those the key finished
+    at every gamma of its grid.  If there are none, its gamma is None (untuned).
     """
     cfg = point.cfg
-    keys = [k for k in estimator_keys(cfg) if k[0] != "ls_oracle"]
-    out = {("ls_oracle", "none"): 0.0}
-    if not keys:
-        return out
-    if len(cfg.gamma_grid) == 1:
-        for key in keys:
-            out[key] = cfg.gamma_grid[0]
-        return out
+    grids = {key: key_gammas(cfg, key) for key in estimator_keys(cfg)}
+    out = {key: grid[0] for key, grid in grids.items() if len(grid) == 1}
+    tuned = {key: [key + (g,) for g in grid] for key, grid in grids.items() if key not in out}
+    cells = tuple(cell for key_cells in tuned.values() for cell in key_cells)
     indices = range(TUNE_INDEX_BASE, TUNE_INDEX_BASE + cfg.tune_trials)
-    outcomes = _map_trials(point, indices, cfg.gamma_grid, pool)
-    for key in keys:
-        cells = [key + (gamma,) for gamma in cfg.gamma_grid]
-        common = [o for o in outcomes if all(c in o.nmse for c in cells)]
+    outcomes = _map_trials(point, indices, cells, pool) if cells else []
+    for key, key_cells in tuned.items():
+        common = [o for o in outcomes if all(c in o.nmse for c in key_cells)]
         if not common:
             out[key] = None
             continue
-        means = [np.mean([o.nmse[c] for o in common]) for c in cells]
-        out[key] = cfg.gamma_grid[int(np.argmin(means))]
+        means = [np.mean([o.nmse[c] for o in common]) for c in key_cells]
+        out[key] = grids[key][int(np.argmin(means))]
     return out
 
 
@@ -322,21 +323,18 @@ CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 def run_point(point: TrialPoint, pool: Optional[Executor] = None) -> list[ExperimentRow]:
     cfg = point.cfg
     gamma_star = tune_gamma(point, pool)
-    keys = estimator_keys(cfg)
-    gammas = tuple(sorted(
-        {g for k, g in gamma_star.items() if k[0] != "ls_oracle" and g is not None}
-    ))
-    outcomes = _map_trials(point, range(cfg.trials), gammas, pool)
+    cells = [key + (gamma_star[key],) for key in estimator_keys(cfg)]
+    # an untuned key's cell (gamma None) is not run, so every trial counts as failed
+    tuned = tuple(cell for cell in cells if cell[2] is not None)
+    outcomes = _map_trials(point, range(cfg.trials), tuned, pool)
 
     convolution = cfg.model == "convolution"
     rows = []
-    for est, kind in keys:
-        g_star = gamma_star[(est, kind)]
-        # an untuned estimator (g_star None) has no cell, so every trial counts as failed
-        cell = (est, kind, g_star)
+    for cell in cells:
+        est, kind, g_star = cell
         done = [o for o in outcomes if cell in o.nmse]
         vals = [o.nmse[cell] for o in done]
-        covered = [True if kind == "none" else o.coverage.get(kind, False) for o in done]
+        covered = [o.coverage.get(kind, True) for o in done]  # no weights, nothing to miss
         if vals:
             mean = float(np.mean(vals))
             stderr = (

@@ -12,7 +12,7 @@ import wlasso.model
 from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.cli import main
 from wlasso.convolution import sample_parents, sensing_operator
-from wlasso.experiments import ExperimentConfig, TrialPoint, run_trial
+from wlasso.experiments import ExperimentConfig, TrialPoint, estimator_keys, key_gammas, run_trial
 from wlasso.model import apply, sample_poisson, trial_rng
 
 
@@ -200,8 +200,9 @@ class TestSolve:
         # one estimator rule: trial 0 of master seed k is the draw of --seed k
         kinds = ("constant", "nonconstant", "oracle")
         cfg = ExperimentConfig(model=model, p=300, s=5, target_l1=100.0, n=2000,
-                               master_seed=seed, weight_kinds=kinds)
+                               master_seed=seed, weight_kinds=kinds, gamma_grid=(4.0,))
         point = TrialPoint(cfg, cfg.p, 40 if model == "convolution" else 0)
+        cells = [key + key_gammas(cfg, key) for key in estimator_keys(cfg)]
         argv = ["solve", "--model", model, "--p", "300", "--s", "5", "--l1", "100",
                 "--m", "40", "--n", "2000", "--seed", str(seed), "--gamma", "4",
                 "--weights", ",".join(kinds)]
@@ -209,7 +210,7 @@ class TestSolve:
         assert code == 0
         fields = [dict(part.split("=") for part in line.split()) for line in out.splitlines()]
         got = {(f["estimator"], f["weight_kind"]): float(f["nmse"]) for f in fields}
-        want = {(est, kind): v for (est, kind, _), v in run_trial(point, 0, (4.0,)).nmse.items()}
+        want = {(est, kind): v for (est, kind, _), v in run_trial(point, 0, cells).nmse.items()}
         assert len(got) == len(fields) == 4
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -557,11 +558,12 @@ class TestExperiment:
         (BERNOULLI_CFG, ["p_grid=", "m_grid=10"], "m_grid"),
         (BERNOULLI_CFG, ["p_grid=1", "s=1"], "p_grid"),
         (SWEEP_CFG, ["master_seed=-3"], "master_seed"),
+        (SWEEP_CFG, ["estimators="], "estimators"),
     ], ids=["s", "target_l1", "p", "gamma_grid",
             "p_grid-m-zero", "m_coef-nan", "m_coef-infinite", "m-above-array-length",
             "m-rule-infinite", "q", "weight_c-negative",
             "weight_c-infinite", "m_grid-bernoulli", "bernoulli-p_grid-one",
-            "master_seed-negative"])
+            "master_seed-negative", "estimators-empty"])
     def test_out_of_range_key_is_usage_error(self, cfg_text, overrides, key, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(cfg_text)
@@ -588,3 +590,13 @@ class TestExperiment:
         code, _, err = run_cli(["experiment"], capsys)
         assert code == 1
         assert "m_grid or p_grid" in err
+
+    def test_missing_grid_writes_no_dump(self, tmp_path, capsys):
+        dump = tmp_path / "d.cfg"
+        code, out, err = run_cli(
+            ["experiment", "--set", "trials=1", "--dump-config", str(dump)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: config needs m_grid or p_grid\n"
+        assert not dump.exists()

@@ -5,7 +5,7 @@ import pickle
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from wlasso.experiments import (
     TrialOutcome,
     TrialPoint,
     estimator_keys,
+    key_gammas,
     m_from_p,
     rows_to_csv,
     run_mse_vs_m,
@@ -34,6 +35,7 @@ from wlasso.experiments import (
 )
 
 from reference import count_products, peak_bytes
+from test_golden import GOLDEN, SWEEPS
 
 
 def conv_config(**over):
@@ -65,9 +67,11 @@ def one_sweep_config(gamma):
     return SolverConfig(gamma, max_iter=1)
 
 
-def cells(point, gamma):
-    """The outcome keys of a run at one gamma: ls_oracle sits at gamma 0."""
-    return [key + (0.0 if key[0] == "ls_oracle" else gamma,) for key in estimator_keys(point.cfg)]
+def cells(point, *gammas):
+    """run_trial's cells for a run over gammas: each estimator key at every gamma
+    it would be tuned over were gammas the grid."""
+    cfg = replace(point.cfg, gamma_grid=gammas)
+    return tuple(key + (g,) for key in estimator_keys(cfg) for g in key_gammas(cfg, key))
 
 
 class TestConfig:
@@ -111,6 +115,10 @@ class TestConfig:
             conv_config(estimators=("ridge",))
         with pytest.raises(ValueError):
             conv_config(weight_kinds=("adaptive",))
+
+    def test_rejects_empty_estimators(self):
+        with pytest.raises(ValueError, match="^estimators must be nonempty$"):
+            conv_config(estimators=())
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -163,8 +171,8 @@ class TestRunTrial:
     def test_deterministic(self):
         cfg = conv_config()
         point = conv_point(cfg)
-        a = run_trial(point, 2, (4.0,))
-        b = run_trial(point, 2, (4.0,))
+        a = run_trial(point, 2, cells(point, 4.0))
+        b = run_trial(point, 2, cells(point, 4.0))
         assert a.nmse == b.nmse
         assert a.coverage == b.coverage
         assert a.failures == b.failures
@@ -172,26 +180,26 @@ class TestRunTrial:
     def test_draws_do_not_depend_on_gamma(self):
         cfg = conv_config()
         point = conv_point(cfg)
-        a = run_trial(point, 3, (2.1,))
-        b = run_trial(point, 3, (4.0,))
+        a = run_trial(point, 3, cells(point, 2.1))
+        b = run_trial(point, 3, cells(point, 4.0))
         assert a.nmse[("ls_oracle", "none", 0.0)] == b.nmse[("ls_oracle", "none", 0.0)]
 
     def test_zero_signal_zero_error(self):
         cfg = conv_config(s=0, target_l1=0.0)
         point = conv_point(cfg)
-        out = run_trial(point, 0, (4.0,))
+        out = run_trial(point, 0, cells(point, 4.0))
         assert out.failures == {}
         for key in cells(point, 4.0):
             assert out.nmse[key] == 0.0
 
     def test_noiseless_oracle_interpolates(self):
-        cfg = conv_config(noiseless=True)
-        out = run_trial(conv_point(cfg), 1, (4.0,))
+        point = conv_point(conv_config(noiseless=True))
+        out = run_trial(point, 1, cells(point, 4.0))
         assert out.nmse[("ls_oracle", "none", 0.0)] <= 1e-16
 
     def test_bernoulli_trial_runs(self):
         point = bern_point()
-        out = run_trial(point, 0, (4.0,))
+        out = run_trial(point, 0, cells(point, 4.0))
         assert set(out.nmse) == set(cells(point, 4.0))
         assert all(v >= 0 for v in out.nmse.values())
         assert set(out.coverage) == {"constant", "nonconstant"}
@@ -199,7 +207,7 @@ class TestRunTrial:
     def test_nonconverged_solve_is_a_failure(self, monkeypatch):
         monkeypatch.setattr(wlasso.experiments, "_solver_config", one_sweep_config)
         point = conv_point(conv_config(target_l1=100.0))
-        out = run_trial(point, 0, (4.0,))
+        out = run_trial(point, 0, cells(point, 4.0))
         for key in (("lasso_two_step", "constant", 4.0), ("wlasso_two_step", "nonconstant", 4.0)):
             assert key not in out.nmse
             assert out.failures[key].startswith(
@@ -230,7 +238,7 @@ class TestRunTrial:
         for i in range(3):
             supports.clear()
             refits.clear()
-            out = run_trial(point, i, (2.1, 4.0))
+            out = run_trial(point, i, cells(point, 2.1, 4.0))
             cfg = point.cfg
             supports.append(draw(
                 cfg.model, point.p, cfg.s, cfg.target_l1, trial_rng(cfg.master_seed, i),
@@ -247,7 +255,8 @@ class TestRunTrial:
             model="bernoulli", p=40, n=20, s=3, target_l1=30.0, p_grid=(40,),
             trials=2, tune_trials=2, gamma_grid=(2.1, 4.0),
         )
-        out = run_trial(TrialPoint(cfg, 40, 0), 0, (2.1, 4.0))
+        point = TrialPoint(cfg, 40, 0)
+        out = run_trial(point, 0, cells(point, 2.1, 4.0))
         weighted = [
             (est, kind, gamma) for gamma in (2.1, 4.0)
             for est, kind in (("lasso_two_step", "constant"), ("wlasso_two_step", "nonconstant"))
@@ -271,7 +280,7 @@ class TestRunTrial:
             raise SingularDesignError(0.0, 1.0)
 
         monkeypatch.setattr(wlasso.experiments, "oracle_least_squares", singular)
-        out = run_trial(point, 0, (2.1, 4.0))
+        out = run_trial(point, 0, cells(point, 2.1, 4.0))
         assert not out.nmse
         assert set(out.failures) == set(cells(point, 2.1) + cells(point, 4.0))
         assert all(v.startswith("SingularDesignError") for v in out.failures.values())
@@ -291,7 +300,7 @@ class TestRunTrial:
         point = conv_point(cfg, m=0 if model == "bernoulli" else None)
         for i in range(2):
             calls = count_products(monkeypatch)
-            out = run_trial(point, i, gammas)
+            out = run_trial(point, i, cells(point, *gammas))
             assert not out.failures and set(out.coverage) == set(kinds)
             assert calls == {"apply": 2, "adjoint": 2}
 
@@ -301,8 +310,9 @@ class TestRunTrial:
         cfg = conv_config(model="bernoulli", p=200, n=2000, q=0.5, m_grid=(),
                           gamma_grid=(2.1, 3.0, 4.0, 6.0, 8.0))
         point = conv_point(cfg, m=0)
-        run_trial(point, 0, cfg.gamma_grid)  # first-use imports and caches
-        assert peak_bytes(lambda: run_trial(point, 1, cfg.gamma_grid)) < 1.5 * 2000 * 200 * 8
+        grid = cells(point, *cfg.gamma_grid)
+        run_trial(point, 0, grid)  # first-use imports and caches
+        assert peak_bytes(lambda: run_trial(point, 1, grid)) < 1.5 * 2000 * 200 * 8
 
     def test_coverage_is_weights_cover_of_each_kind(self):
         # without the second-order term (c = 0) the estimated weights of this
@@ -314,7 +324,7 @@ class TestRunTrial:
         point = conv_point(cfg, m=0)
         outcomes = set()
         for i in (0, 18, 21):
-            got = run_trial(point, i, (4.0,)).coverage
+            got = run_trial(point, i, cells(point, 4.0)).coverage
             inst, y, x_star, _ = draw(
                 cfg.model, point.p, cfg.s, cfg.target_l1, trial_rng(cfg.master_seed, i),
                 m=0, n=cfg.n, q=cfg.q,
@@ -338,8 +348,9 @@ class TestRunTrial:
         else:
             point = bern_point()
         for i in range(3):
-            both = run_trial(point, i, (2.1, 4.0))
-            low, high = run_trial(point, i, (2.1,)), run_trial(point, i, (4.0,))
+            both = run_trial(point, i, cells(point, 2.1, 4.0))
+            low = run_trial(point, i, cells(point, 2.1))
+            high = run_trial(point, i, cells(point, 4.0))
             assert both.nmse == {**low.nmse, **high.nmse}
             assert both.failures == {**low.failures, **high.failures}
             assert both.coverage == low.coverage == high.coverage
@@ -379,9 +390,9 @@ class TestTuneGamma:
         key = ("lasso_two_step", "constant")
         nmse = {2.1: (1.0, 100.0), 4.0: (2.0, None)}
 
-        def fake_map(point, indices, gammas, pool):
+        def fake_map(point, indices, cells, pool):
             return [
-                TrialOutcome({key + (g,): nmse[g][j] for g in gammas if nmse[g][j] is not None},
+                TrialOutcome({c: nmse[c[2]][j] for c in cells if nmse[c[2]][j] is not None},
                              {}, {})
                 for j, _ in enumerate(indices)
             ]
@@ -419,7 +430,8 @@ class TestTuneGamma:
             )
             point = conv_point(cfg, m=30)
             first = tune_gamma(point)[key]
-            outcomes = [run_trial(point, TUNE_INDEX_BASE + 100 + j, grid) for j in range(100)]
+            tuned = cells(point, *grid)
+            outcomes = [run_trial(point, TUNE_INDEX_BASE + 100 + j, tuned) for j in range(100)]
             means = [np.mean([o.nmse[key + (gamma,)] for o in outcomes]) for gamma in grid]
             second = grid[int(np.argmin(means))]
             selections.extend([first, second])
@@ -458,8 +470,8 @@ class TestRunPoint:
             assert r.m is None and r.q == 0.5 and r.n == 300
 
     def test_one_draw_per_trial(self, monkeypatch):
-        # tuning draws each of its trials once for the whole grid, and
-        # evaluation each of its trials once for every tuned gamma
+        # tuning draws each of its trials once for every tuned key's grid, and
+        # evaluation each of its trials once for every key at its own gamma
         calls = []
 
         def counting_draw(*args, **kwargs):
@@ -470,6 +482,30 @@ class TestRunPoint:
         cfg = conv_config(gamma_grid=(2.1, 3.0, 4.0))
         run_point(conv_point(cfg, m=16))
         assert len(calls) == cfg.tune_trials + cfg.trials
+
+    def test_each_key_solved_at_its_own_gamma_alone(self, monkeypatch):
+        # in this golden sweep lasso tunes to 4.0 and wlasso to 2.1 at one
+        # point; evaluation still solves each tuned key once per trial
+        solved = []
+        solve = wlasso.experiments.weighted_lasso
+
+        def counting_solve(pair, w, config):
+            solved.append(config.gamma)
+            return solve(pair, w, config)
+
+        monkeypatch.setattr(wlasso.experiments, "weighted_lasso", counting_solve)
+        name = "convolution_mse_vs_m_s30.csv"
+        run, over = SWEEPS[name]
+        cfg = ExperimentConfig(master_seed=5, **over)
+        rows = run(cfg)
+        assert rows_to_csv(rows).encode() == (GOLDEN / name).read_bytes()
+        assert any(
+            {r.gamma_star for r in rows if r.m == m and r.estimator != "ls_oracle"} == {2.1, 4.0}
+            for m in cfg.m_grid
+        )
+        tuned = [key for key in estimator_keys(cfg) if len(key_gammas(cfg, key)) > 1]
+        per_key = cfg.tune_trials * len(cfg.gamma_grid) + cfg.trials
+        assert len(solved) == len(cfg.m_grid) * len(tuned) * per_key == 28
 
 
 class TestSweeps:
@@ -519,9 +555,9 @@ class TestSweeps:
         code = "\n".join([
             "import sys",
             "from wlasso.experiments import run_trial",
-            "from test_experiments import bern_point, conv_config, conv_point",
+            "from test_experiments import bern_point, cells, conv_config, conv_point",
             "before = set(sys.modules)",
-            f"run_trial({point}, 0, (2.1, 4.0))",
+            f"run_trial(point := {point}, 0, cells(point, 2.1, 4.0))",
             "print(sorted(set(sys.modules) - before))",
         ])
         src = Path(wlasso.experiments.__file__).resolve().parents[1]
@@ -655,7 +691,7 @@ class TestBehavioralComparisons:
         point = conv_point(cfg, m=20)
         wl_wins = 0
         for i in range(cfg.trials):
-            out = run_trial(point, i, (4.0,))
+            out = run_trial(point, i, cells(point, 4.0))
             if out.nmse[("wlasso_two_step", "nonconstant", 4.0)] <= out.nmse[
                 ("lasso_two_step", "constant", 4.0)
             ]:
