@@ -26,7 +26,7 @@ from .concentration import check_theta, tail_coverage_test
 from .diagnostics import assumption_report
 from .errors import ParameterError, WeightKindError
 from .experiments import ESTIMATOR_OF, estimates, run_mse_vs_m, run_mse_vs_p, rows_to_csv
-from .model import check_seed, trial_rng
+from .model import check_seed, deviation_at_truth, trial_rng
 from .sensing import (
     MODELS,
     WEIGHT_KINDS,
@@ -73,6 +73,9 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--noiseless", action="store_true")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--instance", help="read instance from a .npz file instead")
+    sub.add_argument("--theta", type=float, default=None)
+    sub.add_argument("--c", type=float, default=1.0)
+    sub.add_argument("--out", default=None)
 
 
 def _bad_field(key: str, why: str) -> _UsageError:
@@ -137,6 +140,12 @@ def _instance_from_args(args) -> Draw:
     )
 
 
+def _pair_and_score(inst, y, x_star):
+    """The surrogate pair and the score at the truth (None without x*), once per command."""
+    pair = surrogate(inst, y)
+    return pair, None if x_star is None else deviation_at_truth(pair, x_star)
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w") as handle:
@@ -157,12 +166,12 @@ def _nmse(x_hat: np.ndarray, x_star: np.ndarray) -> str:
 
 def _cmd_solve(args) -> int:
     inst, y, x_star, support = _instance_from_args(args)
-    kinds = [kind.strip() for kind in args.weights.split(",")]
+    kinds = list(dict.fromkeys(kind.strip() for kind in args.weights.split(",")))
     for kind in kinds:
         check_weight_kind(kind, x_star)
-    pair = surrogate(inst, y)
     check_gamma(args.gamma)  # a usage error before any work
-    built = {kind: weights(kind, inst, pair, y, x_star, args.theta, args.c) for kind in kinds}
+    pair, deviation = _pair_and_score(inst, y, x_star)
+    built = {kind: weights(kind, inst, y, deviation, args.theta, args.c) for kind in kinds}
     cells = [("ls_oracle", "none", 0.0)] if support is not None and support.size else []
     cells += [(ESTIMATOR_OF[kind], kind, args.gamma) for kind in kinds]
     lines = []
@@ -187,7 +196,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_weights(args) -> int:
     inst, y, x_star, _ = _instance_from_args(args)
-    w = weights(args.kind, inst, surrogate(inst, y), y, x_star, args.theta, args.c)
+    _, deviation = _pair_and_score(inst, y, x_star)
+    w = weights(args.kind, inst, y, deviation, args.theta, args.c)
     lines = ["index,weight"]
     lines.extend(f"{k},{_fmt(v)}" for k, v in enumerate(w.values))
     _emit("\n".join(lines) + "\n", args.out)
@@ -195,16 +205,16 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    inst, y, x_star, _ = _instance_from_args(args)
+    inst, y, x_star, support = _instance_from_args(args)
     if x_star is None:
         raise _UsageError("diagnose needs x_star (generated instances have it)")
     if args.rip_s is not None and not 1 <= args.rip_s <= inst.p:
         raise ParameterError("rip_s", f"must lie in [1, p = {inst.p}]", args.rip_s)
-    pair = surrogate(inst, y)
-    w = weights(args.kind, inst, pair, y, x_star, args.theta, args.c)
+    pair, deviation = _pair_and_score(inst, y, x_star)
+    w = weights(args.kind, inst, y, deviation, args.theta, args.c)
     theta = default_theta(inst) if args.theta is None else args.theta
     report = assumption_report(
-        pair, x_star, w, gamma=args.gamma, theta_used=theta, rip_s=args.rip_s
+        pair, support, deviation, w, gamma=args.gamma, theta_used=theta, rip_s=args.rip_s
     )
     _emit(report.to_text(), args.out)
     return 0
@@ -264,27 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p_solve)
     p_solve.add_argument("--gamma", type=float, default=4.0)
     p_solve.add_argument("--weights", default="nonconstant", help="comma list of kinds")
-    p_solve.add_argument("--theta", type=float, default=None)
-    p_solve.add_argument("--c", type=float, default=1.0)
-    p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_weights = sub.add_parser("weights", help="emit a weight vector as CSV")
     _add_instance_args(p_weights)
     p_weights.add_argument("--kind", choices=WEIGHT_KINDS, default="nonconstant")
-    p_weights.add_argument("--theta", type=float, default=None)
-    p_weights.add_argument("--c", type=float, default=1.0)
-    p_weights.add_argument("--out", default=None)
     p_weights.set_defaults(func=_cmd_weights)
 
     p_diag = sub.add_parser("diagnose", help="check assumptions on one instance")
     _add_instance_args(p_diag)
     p_diag.add_argument("--kind", choices=WEIGHT_KINDS, default="nonconstant")
     p_diag.add_argument("--gamma", type=float, default=4.0)
-    p_diag.add_argument("--theta", type=float, default=None)
-    p_diag.add_argument("--c", type=float, default=1.0)
     p_diag.add_argument("--rip-s", type=int, default=None)
-    p_diag.add_argument("--out", default=None)
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo sweep to CSV")

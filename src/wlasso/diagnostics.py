@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationGuardError
-from .model import Circulant, Dense, SurrogatePair, deviation_at_truth
+from .model import Circulant, Dense, SurrogatePair
 from .solver import WeightVector, check_gamma
 
 
@@ -197,16 +197,17 @@ class AssumptionReport:
 
 def assumption_report(
     pair: SurrogatePair,
-    x_star,
+    support,
+    deviation: np.ndarray,
     weights: WeightVector,
     gamma: float,
     theta_used: float,
     rip_s: Optional[int] = None,
 ) -> AssumptionReport:
+    """The report at the truth x*, given by its support and its score deviation_at_truth."""
     check_gamma(gamma)
-    x_star = np.asarray(x_star, dtype=np.float64)
     xi = gram_deviation(pair.a_tilde)
-    support = np.flatnonzero(x_star)
+    support = np.asarray(support, dtype=np.int64)
 
     rip = None if rip_s is None else rip_lower_bruteforce(pair.a_tilde, rip_s)
     re_bound = re_valid = support_pass = support_lhs = support_rhs = None
@@ -219,7 +220,7 @@ def assumption_report(
                 xi, gamma, re_bound, weights, support
             )
 
-    cover = weights_cover(deviation_at_truth(pair, x_star), weights)
+    cover = weights_cover(deviation, weights)
     return AssumptionReport(
         gram_dev=xi,
         theta_used=theta_used,

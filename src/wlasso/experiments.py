@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
 from .model import MAX_LENGTH, check_seed, deviation_at_truth, trial_rng
-from .sensing import (
-    MODELS, WEIGHT_KINDS, check_params, draw, oracle_weights, surrogate, weights,
-)
+from .sensing import MODELS, WEIGHT_KINDS, check_params, draw, surrogate, weights
 from .solver import (
     SolverConfig, check_gamma, detected_support, weighted_lasso, oracle_least_squares,
 )
@@ -217,8 +215,9 @@ def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> 
     The draw, the surrogate pair, and each kind's weights and coverage do not
     depend on gamma, so each is built once, and only for the kinds the cells
     name; every cell is solved from a cold start, so its numbers do not depend
-    on the other cells.  The score at the truth is computed once and serves
-    every kind's coverage and the oracle weights, so a trial applies the
+    on the other cells.  The score at the truth is computed once, and every
+    kind's weights come from `weights`, which reads it for the oracle kind;
+    every kind's coverage is judged against it.  So a trial applies the
     design and its adjoint twice each (the intensity and aty, then that
     score), whatever its cells.  The estimates come from `estimates`, the
     estimator rule `wlasso solve` shares; a solve that did not converge fails
@@ -237,10 +236,7 @@ def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> 
     deviation = deviation_at_truth(pair, x_star)
     for kind in dict.fromkeys(kind for _, kind, _ in cells if kind != "none"):
         try:
-            if kind == "oracle":
-                built[kind] = oracle_weights(deviation)
-            else:
-                built[kind] = weights(kind, inst, pair, y, c=cfg.weight_c)
+            built[kind] = weights(kind, inst, y, deviation, c=cfg.weight_c)
             coverage[kind] = weights_cover(deviation, built[kind]).passed
         except Exception as exc:  # noqa: BLE001 - fails each of its cells below
             built[kind] = exc

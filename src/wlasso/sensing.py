@@ -3,6 +3,8 @@
 Both models reduce to a recentred surrogate pair plus data-dependent weights,
 after which the solver and diagnostics see no model.  The CLI and the harness
 draw instances, build surrogate pairs and weights, and look up theta here.
+`weights` builds every kind; the oracle kind reads the score at the truth,
+deviation_at_truth(pair, x_star), which its caller computes once per instance.
 Model functions are looked up on their modules at call time, never captured.
 """
 from __future__ import annotations
@@ -14,13 +16,10 @@ import numpy as np
 from . import bernoulli as _bernoulli
 from . import convolution as _convolution
 from .errors import WeightKindError
-from .model import (
-    SurrogatePair, apply, check_signal, deviation_at_truth, make_sparse_signal, sample_poisson,
-)
-from .solver import WeightVector
+from .model import SurrogatePair, apply, check_signal, make_sparse_signal, sample_poisson
+from .solver import WEIGHT_KINDS, WeightVector
 
 MODELS = ("convolution", "bernoulli")
-WEIGHT_KINDS = ("constant", "nonconstant", "oracle")
 
 
 class Draw(NamedTuple):
@@ -82,24 +81,24 @@ def oracle_weights(deviation: np.ndarray, floor: float = 1e-12) -> WeightVector:
     return WeightVector(np.maximum(np.abs(deviation), floor), "oracle")
 
 
-def check_weight_kind(kind: str, x_star) -> None:
-    """Reject a kind that is unknown, or that needs the truth x* when none is given."""
+def check_weight_kind(kind: str, truth) -> None:
+    """Reject a kind that is unknown, or oracle when truth (x* or its score) is None."""
     if kind not in WEIGHT_KINDS:
         raise WeightKindError(
             f"unknown weight kind {kind!r}; expected one of {', '.join(WEIGHT_KINDS)}"
         )
-    if kind == "oracle" and x_star is None:
+    if kind == "oracle" and truth is None:
         raise WeightKindError("oracle weights need x_star")
 
 
 def weights(
-    kind: str, inst, pair: SurrogatePair, y, x_star=None,
-    theta: Optional[float] = None, c: float = 1.0,
+    kind: str, inst, y, deviation=None, theta: Optional[float] = None, c: float = 1.0,
 ) -> WeightVector:
-    """Weights of one kind; c scales the Bernoulli second-order term only."""
-    check_weight_kind(kind, x_star)
+    """Weights of any kind: oracle is oracle_weights(deviation), the others read the
+    counts y, and c scales the Bernoulli second-order term only."""
+    check_weight_kind(kind, deviation)
     if kind == "oracle":
-        return oracle_weights(deviation_at_truth(pair, x_star))
+        return oracle_weights(deviation)
     module = _module(inst)
     build = module.constant_weights if kind == "constant" else module.nonconstant_weights
     if module is _convolution:

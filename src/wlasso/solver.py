@@ -58,15 +58,18 @@ class SolverConfig:
             raise ParameterError("support_eps", "must be >= 0", self.support_eps)
 
 
+WEIGHT_KINDS = ("constant", "nonconstant", "oracle")
+
+
 @dataclass(eq=False)
 class WeightVector:
-    """Per-coordinate penalty weights d_k > 0."""
+    """Per-coordinate penalty weights d_k > 0, of one of WEIGHT_KINDS."""
 
     values: np.ndarray
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("constant", "nonconstant", "oracle"):
+        if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size < 1:

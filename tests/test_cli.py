@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 import wlasso.cli
+import wlasso.diagnostics
 import wlasso.experiments
 import wlasso.model
+import wlasso.sensing
 from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.cli import main
 from wlasso.convolution import sample_parents, sensing_operator
 from wlasso.experiments import ExperimentConfig, TrialPoint, estimator_keys, key_gammas, run_trial
 from wlasso.model import apply, sample_poisson, trial_rng
+
+from reference import count_products
 
 
 def run_cli(argv, capsys):
@@ -111,6 +115,18 @@ class TestSolve:
         assert len(lines) == 3
         assert lines[1].startswith("estimator=lasso_two_step weight_kind=constant")
         assert lines[2].startswith("estimator=wlasso_two_step weight_kind=nonconstant")
+
+    @pytest.mark.parametrize("weights, kinds", [
+        ("constant,constant", ["constant"]),
+        ("nonconstant,constant,nonconstant", ["nonconstant", "constant"]),
+    ])
+    def test_repeated_kind_is_solved_once(self, weights, kinds, capsys):
+        code, out, err = run_cli(
+            ["solve", "--p", "200", "--m", "20", "--s", "5", "--weights", weights], capsys
+        )
+        assert code == 0, err
+        got = [line.split()[1] for line in out.splitlines()]
+        assert got == [f"weight_kind={kind}" for kind in ["none", *kinds]]
 
     def test_reads_instance_file(self, tmp_path, capsys):
         path = tmp_path / "inst.npz"
@@ -215,17 +231,63 @@ class TestSolve:
         assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_cli_holds_no_estimator_rule():
-    # the estimator rule (solve, detect, refit) lives in experiments.estimates
-    # alone, so the command line cannot fork it
-    tree = ast.parse(Path(wlasso.cli.__file__).read_text())
+def _names(tree) -> set[str]:
+    """Every name a module's syntax tree imports or reads."""
     names = {a.name.split(".")[-1] for n in ast.walk(tree)
              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    assert names.isdisjoint({
+    return names
+
+
+def _tree(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def test_cli_holds_no_estimator_rule():
+    # the estimator rule (solve, detect, refit) lives in experiments.estimates
+    # alone, so the command line cannot fork it
+    assert _names(_tree(wlasso.cli)).isdisjoint({
         "weighted_lasso", "oracle_least_squares", "two_step", "detected_support", "SolverConfig",
     })
+
+
+def test_weights_of_every_kind_come_from_sensing():
+    # sensing.weights builds every kind, the oracle from the score at the
+    # truth that its caller computes once: neither sensing nor diagnostics
+    # computes that score, and run_trial holds no oracle branch of its own
+    for module in (wlasso.sensing, wlasso.diagnostics):
+        assert "deviation_at_truth" not in _names(_tree(module))
+    tree = _tree(wlasso.experiments)
+    assert "oracle_weights" not in _names(tree)
+    table = next(n for n in tree.body if isinstance(n, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "ESTIMATOR_KINDS" for t in n.targets))
+    in_table = {id(n) for n in ast.walk(table)}
+    oracles = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "oracle"]
+    assert oracles and all(id(n) in in_table for n in oracles)
+
+
+class TestProducts:
+    """An instance command computes the score at the truth once, and only a
+    solve reads aty, so no command applies the design or its adjoint more
+    than twice."""
+
+    def test_diagnose_oracle_applies_twice_and_adjoint_once(self, monkeypatch, capsys):
+        # the intensity, then the score at the truth
+        calls = count_products(monkeypatch)
+        code, _, err = run_cli(["diagnose", "--kind", "oracle", "--seed", "1"], capsys)
+        assert code == 0, err
+        assert calls == {"apply": 2, "adjoint": 1}
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    @pytest.mark.parametrize("command", ["solve", "weights", "diagnose"])
+    @pytest.mark.parametrize("kind", ["constant", "nonconstant", "oracle"])
+    def test_at_most_two_products_each(self, command, kind, model, monkeypatch, capsys):
+        flag = "--weights" if command == "solve" else "--kind"
+        calls = count_products(monkeypatch)
+        code, _, err = run_cli([command, flag, kind, *MODEL_ARGS[model]], capsys)
+        assert code == 0, err
+        assert calls["apply"] <= 2 and calls["adjoint"] <= 2, calls
 
 
 class TestInstanceValidation:

@@ -340,8 +340,11 @@ class TestAssumptionReport:
         op = Circulant(inst.counts.astype(float))
         y = rng.poisson(apply(op, x_star)).astype(float)
         pair = surrogate_convolution(inst, y)
-        w = oracle_weights(deviation_at_truth(pair, x_star))
-        return assumption_report(pair, x_star, w, gamma, theta_used=5.0, rip_s=2)
+        deviation = deviation_at_truth(pair, x_star)
+        w = oracle_weights(deviation)
+        return assumption_report(
+            pair, np.flatnonzero(x_star), deviation, w, gamma, theta_used=5.0, rip_s=2
+        )
 
     def test_fields_populated(self):
         rep = self.build()
@@ -353,10 +356,13 @@ class TestAssumptionReport:
 
     def test_re_bound_is_the_cone_constant(self):
         # criterion 7's regime, where the cone constant is valid
-        inst, y, x_star, _ = draw("convolution", 2000, 1, 50.0, trial_rng(3), m=500, n=0, q=0.5)
+        inst, y, x_star, support = draw(
+            "convolution", 2000, 1, 50.0, trial_rng(3), m=500, n=0, q=0.5
+        )
         pair = surrogate(inst, y)
-        w = weights("constant", inst, pair, y)
-        rep = assumption_report(pair, x_star, w, 6.0, theta_used=1.0)
+        w = weights("constant", inst, y)
+        rep = assumption_report(pair, support, deviation_at_truth(pair, x_star), w, 6.0,
+                                theta_used=1.0)
         want = re_constant_from_xi(rep.gram_dev, 1, w.penalty_ratio_bound(6.0))
         assert (rep.re_bound, rep.re_valid) == want
         assert rep.re_bound == pytest.approx(0.3675) and rep.support_lhs is not None
@@ -365,7 +371,9 @@ class TestAssumptionReport:
         inst = sample_parents(40, 60, trial_rng(19))
         pair = surrogate_convolution(inst, np.zeros(40))
         w = WeightVector.constant(40, 1.0)
-        rep = assumption_report(pair, np.zeros(40), w, 4.0, theta_used=3.0)
+        rep = assumption_report(
+            pair, [], deviation_at_truth(pair, np.zeros(40)), w, 4.0, theta_used=3.0
+        )
         assert rep.rip_lower is None
         assert rep.re_bound is None  # empty support: no sparsity to certify
         assert rep.support_pass is None
@@ -383,6 +391,8 @@ class TestAssumptionReport:
         inst = sample_parents(40, 60, trial_rng(20))
         pair = surrogate_convolution(inst, np.zeros(40))
         w = WeightVector.constant(40, 1.0)
-        rep = assumption_report(pair, np.zeros(40), w, 4.0, theta_used=3.0)
+        rep = assumption_report(
+            pair, [], deviation_at_truth(pair, np.zeros(40)), w, 4.0, theta_used=3.0
+        )
         assert rep.to_kv()["support_pass"] == ""
         assert "support_pass =\n" in rep.to_text() or "support_pass =" in rep.to_text()

@@ -330,10 +330,9 @@ class TestRunTrial:
                 m=0, n=cfg.n, q=cfg.q,
             )
             pair = surrogate(inst, y)
+            deviation = deviation_at_truth(pair, x_star)
             want = {
-                kind: weights_cover(
-                    deviation_at_truth(pair, x_star), weights(kind, inst, pair, y, x_star, c=0.0)
-                ).passed
+                kind: weights_cover(deviation, weights(kind, inst, y, deviation, c=0.0)).passed
                 for kind in kinds
             }
             assert got == want

@@ -87,7 +87,7 @@ def model_instance(model, p, seed, s=None, m=None):
     s = s or (3 if p == 50 else 15)
     inst, y, _, _ = draw(model, p, s, 100.0, rng, m=m or (12 if p == 50 else 60), n=2000, q=0.5)
     pair = surrogate(inst, y)
-    return pair, {kind: weights(kind, inst, pair, y) for kind in ("constant", "nonconstant")}
+    return pair, {kind: weights(kind, inst, y) for kind in ("constant", "nonconstant")}
 
 
 class TestSoftThreshold:
@@ -626,7 +626,7 @@ class TestGramSpaceScore:
         inst, y, x_star, _ = draw("convolution", 5000, 5, 100.0, rng, m=40, n=0, q=0.5)
         pair = surrogate(inst, y)
         self.assert_matches_residual_route(pair, x_star)
-        w = weights("nonconstant", inst, pair, y)
+        w = weights("nonconstant", inst, y)
         self.assert_matches_residual_route(pair, weighted_lasso(pair, w, SolverConfig(gamma=4.0)).x_hat)
 
     def test_score_at_zero_is_aty_bit_for_bit(self):
