@@ -19,8 +19,9 @@ Since a is 0/1, (n a_lk - S_k)^2 is (n - S_k)^2 where a_lk = 1 and S_k^2 where
 a_lk = 0, with S the column sums.  So the per-coordinate statistics V^T Y come
 from y @ a and sum(y) in O(n p), with no n x p temporary, and both the
 constant weight's pair maximum and the surrogate Gram come from the
-co-occurrence counts C = a^T a, one O(n p^2) product per draw, cached on the
-instance and guarded, as a dense Gram is, at model.GRAM_MAX_P columns:
+co-occurrence counts C = a^T a, one O(n p^2) product per draw: the 0/1
+design's own Gram, cached on the instance under the model's size rule, which
+also bounds the n x p draw:
 
   A_tilde^T A_tilde = (C - q S 1^T - q 1 S^T + n q^2 11^T) / (n q (1 - q)).
 """
@@ -38,9 +39,8 @@ from .concentration import (
     empirical_deviation_bound,
     variance_envelope,
 )
-from . import model
-from .errors import MemoryGuardError, ParameterError, RegimeViolationError
-from .model import Dense, SurrogatePair, check_length
+from .errors import ParameterError, RegimeViolationError
+from .model import Dense, SurrogatePair, check_size
 from .solver import WeightVector
 
 
@@ -72,26 +72,21 @@ class BernoulliInstance:
 
     @cached_property
     def co_occurrence(self) -> np.ndarray:
-        """C = a^T a, read-only: C[u, k] counts the rows where columns u and k
-        are both 1, so its diagonal holds the column sums.  A p x p matrix, so
-        refused above model.GRAM_MAX_P columns, as a dense Gram is."""
-        if self.p > model.GRAM_MAX_P:
-            raise MemoryGuardError(
-                f"co-occurrence counts for p = {self.p} exceed guard {model.GRAM_MAX_P}"
-            )
-        counts = self.a.T @ self.a
-        counts.flags.writeable = False
-        return counts
+        """C = a^T a, the design's own Gram, read-only: C[u, k] counts the rows
+        where columns u and k are both 1, so its diagonal holds the column sums."""
+        return Dense(self.a).gram
 
 
 def check_design(n: int, p: int, q: float) -> None:
+    """An n x p draw over the size rule is named p if one row of it is, else n."""
     if n < 2:
         raise ParameterError("n", "must be >= 2", n)
-    check_length("n", n)
     if p < 2:
         raise ParameterError("p", "must be >= 2", p)
     if not 0.0 < q < 1.0:
         raise ParameterError("q", "must lie in (0, 1)", q)
+    check_size("p", p, p)
+    check_size("n", n, n * p)
 
 
 def check_c(c: float) -> None:
@@ -179,7 +174,7 @@ def max_pair_weight(inst: BernoulliInstance) -> float:
 
     Since a is 0/1, (n a_lk - S_k)^2 is a_lk (n^2 - 2 n S_k) + S_k^2, so W
     comes from the co-occurrence counts a^T a, shared with the surrogate Gram:
-    one n x p by n x p product per draw, O(n p^2), under the same p guard.
+    one n x p by n x p product per draw, O(n p^2), under the size rule.
     """
     n, q = inst.n, inst.q
     counts = inst.co_occurrence

@@ -26,7 +26,7 @@ from .concentration import check_theta, tail_coverage_test
 from .diagnostics import assumption_report
 from .errors import ParameterError, WeightKindError
 from .experiments import ESTIMATOR_OF, estimates, run_mse_vs_m, run_mse_vs_p, rows_to_csv
-from .model import check_seed, deviation_at_truth, trial_rng
+from .model import check_seed, check_size, deviation_at_truth, trial_rng
 from .sensing import (
     MODELS,
     WEIGHT_KINDS,
@@ -247,6 +247,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_concentration_test(args) -> int:
     if args.n < 1:
         raise ParameterError("n", "must be >= 1", args.n)
+    check_size("n", args.n, args.n)
     rng = trial_rng(_resolve_seed(args.seed))
     r = np.ones(args.n)
     intensity = np.full(args.n, args.intensity)

@@ -22,7 +22,8 @@ class SingularDesignError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A model parameter lies outside its valid range; name is the parameter."""
+    """A parameter lies outside its valid range, or sizes an array over
+    model.BYTE_BUDGET bytes; name is the parameter."""
 
     def __init__(self, name: str, why: str, value):
         self.name = name
@@ -37,10 +38,6 @@ class RegimeViolationError(ValueError):
 
 class EnumerationGuardError(ValueError):
     """Requested exact enumeration exceeds the configured work budget."""
-
-
-class MemoryGuardError(ValueError):
-    """A dense Gram matrix would exceed the GRAM_MAX_P column budget."""
 
 
 class WeightKindError(ValueError):

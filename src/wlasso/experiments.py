@@ -28,7 +28,7 @@ from typing import Iterator, Optional, get_origin, get_type_hints
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
-from .model import MAX_LENGTH, check_seed, deviation_at_truth, trial_rng
+from .model import check_seed, check_size, deviation_at_truth, trial_rng
 from .sensing import MODELS, WEIGHT_KINDS, check_params, draw, surrogate, weights
 from .solver import (
     SolverConfig, check_gamma, detected_support, weighted_lasso, oracle_least_squares,
@@ -140,8 +140,7 @@ class ExperimentConfig:
 def m_from_p(p: int, m_coef: float) -> int:
     """Parent-count rule m = round(m_coef * sqrt(p) * log p) for p sweeps."""
     m = m_coef * math.sqrt(p) * math.log(p)
-    if not m <= MAX_LENGTH:  # inf, or no array numpy can hold
-        raise ParameterError("m_coef", f"gives m = {m:.3g} at p = {p}, too long for numpy", m_coef)
+    check_size("m_coef", m_coef, m)  # m is inf if the product overflows
     return int(round(m))
 
 

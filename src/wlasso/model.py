@@ -6,11 +6,15 @@ a rank-one correction and never formed, so the Bernoulli surrogate needs no
 copy of its 0/1 draw; Circulant stores only its generator column c, with
 entry (l, k) equal to c[(l - k) mod p], plus gram_generator.  Each owns its
 Gram matrix A^T A, computed once per operator: a zero-copy strided view for a
-circulant, a p x p matrix, guarded at GRAM_MAX_P columns, for a dense design;
+circulant, a p x p matrix for a dense design;
 a dense design may say how to build its Gram from something cheaper than the
 product, and a shifted one must, as the Bernoulli surrogate does from the 0/1
 co-occurrence counts.  Only diagnostics.gram_deviation branches on the class,
 to read a circulant Gram from its generator without allocating p x p floats.
+
+One size rule bounds every array a user's sizes make (p, the parents m, the
+n x p Bernoulli draw, a dense Gram): check_size refuses, naming the parameter,
+any over BYTE_BUDGET bytes before it is allocated.
 
 A SurrogatePair holds its observations read-only and caches the score at zero,
 aty = A^T y, and yty = y^T y, so the solver's every score, aty - A^T A x, comes
@@ -41,12 +45,16 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .errors import MemoryGuardError, ParameterError
+from .errors import ParameterError
+
+BYTE_BUDGET = 1 << 27  # 128 MiB, a float64 Gram at p = 4096
 
 
-def check_length(name: str, value: int) -> None:
-    if value > MAX_LENGTH:
-        raise ParameterError(name, f"must be <= {MAX_LENGTH}, numpy's largest array length", value)
+def check_size(name: str, value, n_floats) -> None:
+    """Refuse, naming the parameter at value, an array of n_floats float64
+    entries over BYTE_BUDGET bytes; n_floats may be an inf or nan float."""
+    if not 8 * n_floats <= BYTE_BUDGET:
+        raise ParameterError(name, f"would make an array over {BYTE_BUDGET} bytes", value)
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
@@ -105,7 +113,7 @@ class SparseSignal:
 
 def check_signal(p: int, s: int, target_l1: float) -> None:
     """Raise the ParameterError make_sparse_signal would raise for p, s and target_l1."""
-    check_length("p", p)
+    check_size("p", p, p)
     if not 0 <= s <= p:
         raise ParameterError("s", f"must lie in [0, p = {p}]", s)
     if s == 0:
@@ -160,8 +168,6 @@ def sample_poisson(intensity, rng: np.random.Generator) -> PoissonObservations:
 
 
 SUPPORT_SUM_MAX = 64
-GRAM_MAX_P = 4096
-MAX_LENGTH = int(np.iinfo(np.intp).max)  # numpy's largest array length
 
 
 def cyclic_convolve(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
@@ -278,13 +284,10 @@ class Dense:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """A^T A, read-only; refused above GRAM_MAX_P columns.  dense^T dense
-        is the Gram of the unshifted, unscaled operator only, so any other
-        must say how to build its own."""
-        if self.n_cols > GRAM_MAX_P:
-            raise MemoryGuardError(
-                f"dense gram for p = {self.n_cols} exceeds guard {GRAM_MAX_P}"
-            )
+        """A^T A, read-only, under the size rule.  dense^T dense is the Gram
+        of the unshifted, unscaled operator only, so any other must say how
+        to build its own."""
+        check_size("p", self.n_cols, self.n_cols**2)
         if self.gram_from is not None:
             gram = self.gram_from()
         elif self.shift or self.scale != 1.0:

@@ -23,7 +23,7 @@ from wlasso.concentration import (
 )
 import wlasso.model
 from wlasso.errors import (
-    MemoryGuardError, ParameterError, RegimeViolationError,
+    ParameterError, RegimeViolationError,
 )
 from wlasso.model import deviation_at_truth, make_sparse_signal, sample_poisson, trial_rng
 
@@ -201,14 +201,15 @@ class TestPairWeight:
                 direct /= (n * (n - 1) * q * (1 - q)) ** 2
                 assert max_pair_weight(inst) == direct.max()
 
-    def test_co_occurrence_guard_reads_gram_max_p(self, monkeypatch):
+    def test_co_occurrence_guard_reads_byte_budget(self, monkeypatch):
         inst, _, y = draw_instance(8, n=100, p=20)
-        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 19)
-        with pytest.raises(MemoryGuardError, match="p = 20 exceed guard 19"):
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 19**2)
+        with pytest.raises(ParameterError) as exc:
             max_pair_weight(inst)
-        with pytest.raises(MemoryGuardError):
+        assert (exc.value.name, exc.value.value) == ("p", 20)
+        with pytest.raises(ParameterError):
             constant_weights(inst, y)
-        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 20)
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 20**2)
         assert max_pair_weight(inst) > 0.0
 
     def test_constant_weights_build_at_n2000_p800(self):
@@ -360,10 +361,11 @@ class TestColumnStatistics:
 
     def test_wide_design_builds_without_its_gram(self, monkeypatch):
         inst, _, y = draw_instance(5, n=400, p=30)
-        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 20)
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 20**2)
         pair = surrogate_bernoulli(inst, y)
         assert nonconstant_weights(inst, y).values.shape == (30,)
         assert pair.aty.shape == (30,)
         assert "co_occurrence" not in vars(inst)
-        with pytest.raises(MemoryGuardError, match="p = 30"):
+        with pytest.raises(ParameterError) as exc:
             pair.a_tilde.gram
+        assert (exc.value.name, exc.value.value) == ("p", 30)

@@ -189,18 +189,19 @@ class TestSolve:
         assert lines[2].startswith("estimator=lasso_two_step weight_kind=constant")
 
     def test_wide_dense_stops_at_ls_oracle(self, monkeypatch, capsys):
-        # a dense refit reads the design's Gram, which the guard refuses
-        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 10)
+        # a dense refit reads the design's p x p Gram, which the size rule
+        # refuses while it lets the 10 x 12 draw through
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 10 * 12)
         calls = []
         monkeypatch.setattr(wlasso.experiments, "weighted_lasso", lambda *a, **k: calls.append(a))
         code, out, err = run_cli(
-            ["solve", "--model", "bernoulli", "--p", "12", "--n", "500", "--s", "2",
-             "--l1", "20", "--seed", "1"],
+            ["solve", "--model", "bernoulli", "--p", "12", "--n", "10", "--s", "2",
+             "--l1", "20", "--weights", "oracle", "--seed", "1"],
             capsys,
         )
-        assert code == 2
+        assert code == 1
         assert out == ""
-        assert err.startswith("error: MemoryGuardError") and "p = 12" in err
+        assert err.startswith("error: --p ") and err.endswith(", got 12\n")
         assert calls == []
 
     def test_reads_bernoulli_instance_file(self, tmp_path, capsys):
@@ -265,6 +266,25 @@ def test_weights_of_every_kind_come_from_sensing():
     in_table = {id(n) for n in ast.walk(table)}
     oracles = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "oracle"]
     assert oracles and all(id(n) in in_table for n in oracles)
+
+
+def test_one_size_rule():
+    # only model.check_size compares a size to the byte budget, and the
+    # rules it replaced are gone
+    src = Path(wlasso.model.__file__).parent
+    compares = {
+        (path.name, fn.name)
+        for path in sorted(src.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, ast.Compare)
+        if "BYTE_BUDGET" in _names(node)
+    }
+    assert compares == {("model.py", "check_size")}
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        for gone in ("MAX_LENGTH", "GRAM_MAX_P", "MemoryGuardError", "check_length"):
+            assert gone not in text, (path.name, gone)
 
 
 class TestProducts:
@@ -332,6 +352,7 @@ class TestInstanceValidation:
 
 
 BIG = str(10 ** 30)  # above numpy's largest array length
+HUGE = str(10 ** 18)  # below it, but 7 EiB of parents
 
 
 class TestInstanceFlags:
@@ -372,6 +393,8 @@ class TestInstanceFlags:
         (["solve", "--model", "bernoulli", "--n", BIG, "--p", "50", "--s", "2"], "--n"),
         (["solve", "--p", BIG, "--m", "5", "--s", "2"], "--p"),
         (["solve", "--model", "bernoulli", "--n", "100", "--p", BIG, "--s", "2"], "--p"),
+        (["solve", "--p", "50", "--m", HUGE, "--s", "2"], "--m"),
+        (["concentration-test", "--n", "100000000000000"], "--n"),
     ], ids=["q-outside", "n-small", "bernoulli-p-zero", "bernoulli-p-one", "s-above-p-1",
             "p-small", "m-zero",
             "s-above-p", "l1-without-s", "l1-negative", "l1-infinite", "theta-negative",
@@ -380,12 +403,22 @@ class TestInstanceFlags:
             "solve-oracle-theta", "trials-zero", "intensity-negative", "intensity-nan",
             "conc-n-zero", "rip-s-zero", "rip-s-above-p", "seed-negative",
             "conc-seed-negative", "experiment-seed-negative", "m-above-array-length",
-            "n-above-array-length", "p-above-array-length", "bernoulli-p-above-array-length"])
+            "n-above-array-length", "p-above-array-length", "bernoulli-p-above-array-length",
+            "m-over-budget", "conc-n-over-budget"])
     def test_out_of_range_flag_is_usage_error(self, argv, flag, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 1, err
         assert out == ""
         assert err.startswith(f"error: {flag} ")
+
+    def test_bernoulli_draw_over_budget_names_n(self, monkeypatch, capsys):
+        # neither n nor p is over the budget alone; their n x p draw is
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 100 * 20)
+        argv = ["weights", "--model", "bernoulli", "--p", "20", "--s", "2", "--l1", "20"]
+        assert run_cli(argv + ["--n", "100"], capsys)[0] == 0
+        code, out, err = run_cli(argv + ["--n", "101"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --n ") and err.endswith(", got 101\n")
 
     def test_flags_of_the_other_model_are_not_read(self, capsys):
         code, _, err = run_cli(["weights", "--p", "20", "--q", "1.5", "--n", "0"], capsys)
@@ -621,11 +654,12 @@ class TestExperiment:
         (BERNOULLI_CFG, ["p_grid=1", "s=1"], "p_grid"),
         (SWEEP_CFG, ["master_seed=-3"], "master_seed"),
         (SWEEP_CFG, ["estimators="], "estimators"),
+        (SWEEP_CFG, ["m_grid=" + HUGE], "m_grid"),
     ], ids=["s", "target_l1", "p", "gamma_grid",
             "p_grid-m-zero", "m_coef-nan", "m_coef-infinite", "m-above-array-length",
             "m-rule-infinite", "q", "weight_c-negative",
             "weight_c-infinite", "m_grid-bernoulli", "bernoulli-p_grid-one",
-            "master_seed-negative", "estimators-empty"])
+            "master_seed-negative", "estimators-empty", "m_grid-over-budget"])
     def test_out_of_range_key_is_usage_error(self, cfg_text, overrides, key, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(cfg_text)

@@ -24,7 +24,7 @@ from wlasso.diagnostics import (
     theoretical_l2_bound,
     weights_cover,
 )
-from wlasso.errors import EnumerationGuardError, MemoryGuardError
+from wlasso.errors import EnumerationGuardError, ParameterError
 from wlasso.model import (
     Circulant,
     Dense,
@@ -72,10 +72,10 @@ class TestGramDeviation:
         assert gram_deviation(op) == pytest.approx(gram_deviation(dense), abs=1e-12)
 
     def test_dense_guard(self, monkeypatch):
-        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 5)
-        op = Dense(np.ones((2, 10)))
-        with pytest.raises(MemoryGuardError):
-            gram_deviation(op)
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 9**2)
+        with pytest.raises(ParameterError, match="^p "):
+            gram_deviation(Dense(np.ones((2, 10))))
+        assert gram_deviation(Dense(np.ones((2, 9)))) > 0.0
 
     def test_convolution_rate_envelope(self):
         # xi_hat <= 5 (log p / sqrt(p) + log^2 p / m) on at least 95% of trials

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import wlasso.model
 import wlasso.solver
-from wlasso.errors import DegenerateColumnError, MemoryGuardError, SingularDesignError
+from wlasso.errors import DegenerateColumnError, ParameterError, SingularDesignError
 from wlasso.model import (
     Circulant,
     Dense,
@@ -421,9 +421,9 @@ class TestInvariances:
         assert exc.value.column == 0
 
     def test_dense_gram_guard(self, monkeypatch):
-        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 5)
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 5**2)
         pair = random_dense_pair(26, n=10, p=6)
-        with pytest.raises(MemoryGuardError, match="p = 6"):
+        with pytest.raises(ParameterError, match="^p .*, got 6$"):
             weighted_lasso(pair, WeightVector.constant(6, 1.0), SolverConfig(gamma=3.0))
 
 
@@ -557,9 +557,9 @@ class TestRefitting:
         assert calls == {"apply": 0, "adjoint": 0}
 
     def test_wide_dense_refit_needs_gram(self, monkeypatch):
-        monkeypatch.setattr(wlasso.model, "GRAM_MAX_P", 10)
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 10**2)
         pair = random_dense_pair(40, n=30, p=12)
-        with pytest.raises(MemoryGuardError, match="p = 12"):
+        with pytest.raises(ParameterError, match="^p .*, got 12$"):
             oracle_least_squares(pair, np.array([0, 5]))
 
     def test_support_validation(self):
