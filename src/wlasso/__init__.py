@@ -3,9 +3,9 @@
 Submodules: model (signals, operators, surrogate pairs), solver (coordinate
 descent and debiasing), concentration (Poisson tail bounds), bernoulli and
 convolution (sensing models and their penalty weights), sensing (the one
-dispatch over the two models: draw, surrogate pair, weights), diagnostics
-(assumption checks and closed-form bounds), experiments (seeded Monte Carlo
-harness), cli (command-line front end).
+dispatch over the two models: draw or read an instance, surrogate pair,
+weights), diagnostics (assumption checks and closed-form bounds), experiments
+(seeded Monte Carlo harness), cli (command-line front end).
 """
 from . import bernoulli, concentration, convolution, diagnostics, experiments, model
 from . import sensing, solver

@@ -40,7 +40,7 @@ from .concentration import (
     variance_envelope,
 )
 from .errors import ParameterError, RegimeViolationError
-from .model import Dense, SurrogatePair, check_size
+from .model import Dense, SurrogatePair, check_size, check_vector
 from .solver import WeightVector
 
 
@@ -50,25 +50,23 @@ def default_theta(p: int) -> float:
 
 @dataclass(eq=False)
 class BernoulliInstance:
-    n: int
-    p: int
-    q: float
+    """A Bernoulli draw is its n x p 0/1 design a, which n, p and the column sums S
+    are read off, and its rate q.  The operators share a uncopied, so it is read-only."""
+
     a: np.ndarray
-    column_sums: np.ndarray
+    q: float
 
     def __post_init__(self):
-        check_design(self.n, self.p, self.q)
         self.a = np.asarray(self.a, dtype=np.float64)
-        if self.a.shape != (self.n, self.p):
-            raise ValueError("a must be n x p")
-        if np.any((self.a != 0.0) & (self.a != 1.0)):
-            raise ValueError("a must have entries in {0, 1}")
-        # the design is shared, uncopied, by the sensing and surrogate operators;
-        # read-only, so the co-occurrence and a surrogate's aty cannot go stale
+        if self.a.ndim != 2:
+            raise ParameterError("a", "must be a matrix", self.a.shape)
+        self.n, self.p = self.a.shape
+        check_design(self.n, self.p, self.q)
+        bad = (self.a != 0.0) & (self.a != 1.0)
+        if bad.any():
+            raise ParameterError("a", "must have entries in {0, 1}", self.a[bad][0].item())
         self.a.flags.writeable = False
-        self.column_sums = np.asarray(self.column_sums, dtype=np.float64)
-        if self.column_sums.shape != (self.p,):
-            raise ValueError("column_sums must have length p")
+        self.column_sums = self.a.sum(axis=0)
 
     @cached_property
     def co_occurrence(self) -> np.ndarray:
@@ -99,8 +97,7 @@ def sample_bernoulli_matrix(
     n: int, p: int, q: float, rng: np.random.Generator
 ) -> BernoulliInstance:
     check_design(n, p, q)
-    a = (rng.random((n, p)) < q).astype(np.float64)
-    return BernoulliInstance(n=n, p=p, q=q, a=a, column_sums=a.sum(axis=0))
+    return BernoulliInstance((rng.random((n, p)) < q).astype(np.float64), q)
 
 
 def sensing_operator(inst: BernoulliInstance) -> Dense:
@@ -112,9 +109,7 @@ def _scale(inst: BernoulliInstance) -> float:
 
 
 def surrogate_bernoulli(inst: BernoulliInstance, y) -> SurrogatePair:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (inst.n,):
-        raise ValueError("y must have length n")
+    y = check_vector("y", y, inst.n)
     scale = _scale(inst)
     # (a - q 11^T) / scale, applied on the 0/1 draw itself: no n x p copy
     a_tilde = Dense(inst.a, partial(_surrogate_gram, inst), shift=inst.q, scale=scale)
@@ -139,9 +134,7 @@ def l1_norm_estimator(inst: BernoulliInstance, y, theta: float | None = None) ->
     which holds throughout the regime nq >= 12 max(q, 1-q) log p at the
     default theta.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (inst.n,):
-        raise ValueError("y must have length n")
+    y = check_vector("y", y, inst.n)
     theta = default_theta(inst.p) if theta is None else check_theta(theta)
     n, q = inst.n, inst.q
     qmax = max(q, 1.0 - q)
@@ -223,9 +216,7 @@ def nonconstant_weights(
 ) -> WeightVector:
     """Per-coordinate weights from the observable statistics V_k^T Y."""
     check_c(c)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (inst.n,):
-        raise ValueError("y must have length n")
+    y = check_vector("y", y, inst.n)
     if theta is None:
         theta = default_theta(inst.p)
     n_hat = l1_norm_estimator(inst, y, theta)

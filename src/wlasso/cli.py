@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 runtime error.  All randomness flows
 from one seed (flag > config file > WLASSO_SEED env var > 0), which must be
 >= 0; reruns with the same inputs produce byte-identical outputs.  No
-subcommand mutates its inputs.
+subcommand mutates its inputs.  An --instance file's arrays become an
+instance in sensing.from_arrays, so the command line knows no sensing model.
 """
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import bernoulli as _bernoulli
-from . import convolution as _convolution
 from .config import (
     apply_overrides,
     experiment_config_from_mapping,
@@ -34,6 +33,7 @@ from .sensing import (
     check_weight_kind,
     default_theta,
     draw,
+    from_arrays,
     surrogate,
     weights,
 )
@@ -78,56 +78,35 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None)
 
 
-def _bad_field(key: str, why: str) -> _UsageError:
-    return _UsageError(f"instance file: {key!r} {why}")
+_FILE_NDIM = {"counts": 1, "a": 2, "q": 0, "y": 1, "x_star": 1}  # an instance file's arrays
 
 
-def _instance_field(arrays, key: str, ndim: int) -> np.ndarray:
-    """arrays[key] as floats, if it is a finite number, vector or matrix."""
-    value = np.asarray(arrays[key])
+def _instance_field(data, key: str, ndim: int) -> np.ndarray:
+    """data[key] as floats, if it is a finite number, vector or matrix."""
+    value = np.asarray(data[key])
     if value.dtype.kind not in "biuf" or value.ndim != ndim or not np.all(np.isfinite(value)):
-        raise _bad_field(key, f"must be a finite {('number', 'vector', 'matrix')[ndim]}")
+        what = ("number", "vector", "matrix")[ndim]
+        raise _UsageError(f"instance file: {key!r} must be a finite {what}")
     return value.astype(np.float64)
 
 
 def _load_instance(path: str, q_flag: float) -> Draw:
+    """The file's arrays, read by sensing.from_arrays.  A refusal names the file
+    key (counts or a for the design's sizes), or the flag if the file lacks it."""
     with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    if "counts" in arrays:
-        counts = _instance_field(arrays, "counts", 1)
-        if counts.size < 2 or np.any(counts < 0) or np.any(counts % 1) or not counts.any():
-            raise _bad_field("counts", "must be p >= 2 nonnegative integers, not all zero")
-        inst = _convolution.ConvolutionInstance(
-            p=counts.size, m=int(counts.sum()), counts=counts
-        )
-        rows = inst.p
-    elif "a" in arrays:
-        a = _instance_field(arrays, "a", 2)
-        if min(a.shape) < 2:
-            raise _bad_field("a", f"must be at least 2 x 2, got {a.shape[0]} x {a.shape[1]}")
-        if np.any((a != 0) & (a != 1)):
-            raise _bad_field("a", "must have entries in {0, 1}")
-        q = float(_instance_field(arrays, "q", 0)) if "q" in arrays else q_flag
-        if not 0.0 < q < 1.0:
-            raise _bad_field("q", f"must lie in (0, 1), got {q!r}")
-        inst = _bernoulli.BernoulliInstance(
-            n=a.shape[0], p=a.shape[1], q=q, a=a, column_sums=a.sum(axis=0)
-        )
-        rows = inst.n
-    else:
-        raise _UsageError("instance file needs either 'counts' or 'a'")
-    if "y" not in arrays:
-        raise _UsageError("instance file needs 'y'")
-    y = _instance_field(arrays, "y", 1)
-    if y.size != rows or np.any(y < 0):
-        raise _bad_field("y", f"must be {rows} nonnegative values, got {y.size} values")
-    x_star = support = None
-    if "x_star" in arrays:
-        x_star = _instance_field(arrays, "x_star", 1)
-        if x_star.size != inst.p:
-            raise _bad_field("x_star", f"must have length p = {inst.p}, got {x_star.size}")
-        support = np.flatnonzero(x_star)
-    return Draw(inst, y, x_star, support)
+        arrays = {key: _instance_field(data, key, ndim)
+                  for key, ndim in _FILE_NDIM.items() if key in data.files}
+    try:
+        return from_arrays(arrays, q_flag)
+    except KeyError as exc:
+        raise _UsageError(f"instance file needs {exc.args[0]}") from exc
+    except ParameterError as exc:
+        design = "counts" if "counts" in arrays else "a"
+        key = design if exc.name in ("p", "m", "n") else exc.name
+        if key not in arrays:
+            raise
+        name = repr(key) if key == exc.name else f"{key!r} ({exc.name})"
+        raise _UsageError(f"instance file: {name} {exc.why}, got {exc.value}") from exc
 
 
 def _instance_from_args(args) -> Draw:

@@ -25,7 +25,7 @@ from .concentration import (
     variance_envelope,
 )
 from .errors import ParameterError
-from .model import Circulant, SurrogatePair, check_size, cyclic_correlate
+from .model import Circulant, SurrogatePair, check_size, check_vector, cyclic_correlate
 from .solver import WeightVector
 
 
@@ -35,18 +35,22 @@ def default_theta(p: int) -> float:
 
 @dataclass(eq=False)
 class ConvolutionInstance:
-    p: int
-    m: int
+    """A convolution draw is its parent counts N(u): p is their length, m their sum."""
+
     counts: np.ndarray
     parents: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1:
+            raise ParameterError("counts", "must be a vector", counts.shape)
+        bad = counts < 0 if counts.dtype.kind in "iu" else (counts < 0) | (counts % 1 != 0)
+        if bad.any():
+            first = counts[bad][0].item()
+            raise ParameterError("counts", "must be nonnegative whole numbers", first)
+        self.p, self.m = counts.size, int(counts.sum())
         check_parents(self.p, self.m)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (self.p,):
-            raise ValueError("counts must have length p")
-        if np.any(self.counts < 0) or int(self.counts.sum()) != self.m:
-            raise ValueError("counts must be nonnegative and sum to m")
+        self.counts = counts.astype(np.int64, copy=False)
 
 
 def check_parents(p: int, m: int) -> None:
@@ -60,8 +64,7 @@ def check_parents(p: int, m: int) -> None:
 def sample_parents(p: int, m: int, rng: np.random.Generator) -> ConvolutionInstance:
     check_parents(p, m)
     parents = rng.integers(0, p, size=m)
-    counts = np.bincount(parents, minlength=p)
-    return ConvolutionInstance(p=p, m=m, counts=counts, parents=parents)
+    return ConvolutionInstance(np.bincount(parents, minlength=p), parents)
 
 
 def sensing_operator(inst: ConvolutionInstance) -> Circulant:
@@ -69,9 +72,7 @@ def sensing_operator(inst: ConvolutionInstance) -> Circulant:
 
 
 def surrogate_convolution(inst: ConvolutionInstance, y) -> SurrogatePair:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (inst.p,):
-        raise ValueError("y must have length p")
+    y = check_vector("y", y, inst.p)
     rm = math.sqrt(inst.m)
     offset = (rm - 1.0) / inst.p
     gen = inst.counts / rm - offset
@@ -91,9 +92,7 @@ def count_spread_bound(inst: ConvolutionInstance) -> float:
 
 def local_variance_estimates(inst: ConvolutionInstance, y) -> np.ndarray:
     """v_hat_k = sum_l (N(l-k) - (m-1)/p)^2 Y_l / m^2, by cyclic correlation."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (inst.p,):
-        raise ValueError("y must have length p")
+    y = check_vector("y", y, inst.p)
     e = _centered_counts(inst) ** 2 / inst.m**2
     return cyclic_correlate(e, y)
 
@@ -103,9 +102,7 @@ def constant_weights(
 ) -> WeightVector:
     """Single weight from W = max_l sum_u (N(u) - (m-1)/p)^2 N(u+l) / m^2 and
     the observable envelope of ||x*||_1 built from Ybar."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (inst.p,):
-        raise ValueError("y must have length p")
+    y = check_vector("y", y, inst.p)
     if theta is None:
         theta = default_theta(inst.p)
     e = _centered_counts(inst) ** 2 / inst.m**2

@@ -57,6 +57,14 @@ def check_size(name: str, value, n_floats) -> None:
         raise ParameterError(name, f"would make an array over {BYTE_BUDGET} bytes", value)
 
 
+def check_vector(name: str, value, length: int) -> np.ndarray:
+    """value as floats, if it is a vector of the given length."""
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != (length,):
+        raise ParameterError(name, f"must be a vector of length {length}", value.shape)
+    return value
+
+
 def check_seed(seed: int, name: str = "seed") -> int:
     """A master seed must be >= 0, as numpy's SeedSequence requires."""
     if seed < 0:

@@ -2,21 +2,24 @@
 
 Both models reduce to a recentred surrogate pair plus data-dependent weights,
 after which the solver and diagnostics see no model.  The CLI and the harness
-draw instances, build surrogate pairs and weights, and look up theta here.
+draw instances or read them from arrays (`from_arrays`, the CLI's instance
+files), build surrogate pairs and weights, and look up theta here.
 `weights` builds every kind; the oracle kind reads the score at the truth,
 deviation_at_truth(pair, x_star), which its caller computes once per instance.
 Model functions are looked up on their modules at call time, never captured.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from . import bernoulli as _bernoulli
 from . import convolution as _convolution
-from .errors import WeightKindError
-from .model import SurrogatePair, apply, check_signal, make_sparse_signal, sample_poisson
+from .errors import ParameterError, WeightKindError
+from .model import (
+    SurrogatePair, apply, check_signal, check_vector, make_sparse_signal, sample_poisson,
+)
 from .solver import WEIGHT_KINDS, WeightVector
 
 MODELS = ("convolution", "bernoulli")
@@ -49,6 +52,27 @@ def draw(
     intensity = apply(_module(inst).sensing_operator(inst), x_star, exact=True)
     y = intensity if noiseless else sample_poisson(intensity, rng).counts.astype(np.float64)
     return Draw(inst, y, x_star, signal.support)
+
+
+def from_arrays(arrays: Mapping[str, np.ndarray], q: float) -> Draw:
+    """The instance named arrays hold: counts (convolution) or a 0/1 design a at
+    rate arrays["q"], else q (Bernoulli), then y and, optionally, x_star.  A missing
+    array is a KeyError; a refusal names the array, or p, m or n for its sizes."""
+    if "counts" in arrays:
+        inst = _convolution.ConvolutionInstance(arrays["counts"])
+    elif "a" in arrays:
+        inst = _bernoulli.BernoulliInstance(arrays["a"], float(arrays.get("q", q)))
+    else:
+        raise KeyError("either 'counts' or 'a'")
+    if "y" not in arrays:
+        raise KeyError("'y'")
+    y = check_vector("y", arrays["y"], inst.p if _module(inst) is _convolution else inst.n)
+    if np.any(y < 0):
+        raise ParameterError("y", "must be nonnegative", float(y.min()))
+    x_star = arrays.get("x_star")
+    if x_star is not None:
+        x_star = check_vector("x_star", x_star, inst.p)
+    return Draw(inst, y, x_star, None if x_star is None else np.flatnonzero(x_star))
 
 
 def check_params(

@@ -54,16 +54,28 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_bernoulli_matrix(10, 10, 1.0, trial_rng(0))
         with pytest.raises(ValueError):
-            BernoulliInstance(n=5, p=3, q=0.5, a=np.zeros((4, 3)), column_sums=np.zeros(3))
+            BernoulliInstance(np.zeros(3), 0.5)
         with pytest.raises(ValueError, match="0, 1"):
-            BernoulliInstance(n=2, p=2, q=0.5, a=[[1.0, 0.0], [0.5, 1.0]], column_sums=[1.5, 1.0])
+            BernoulliInstance([[1.0, 0.0], [0.5, 1.0]], 0.5)
 
     def test_one_column_is_rejected_as_p(self):
         # the default theta 3 log p is 0 at p = 1
         with pytest.raises(ParameterError, match="^p must be >= 2"):
             sample_bernoulli_matrix(500, 1, 0.5, trial_rng(0))
         with pytest.raises(ParameterError, match="^p must be >= 2"):
-            BernoulliInstance(n=2, p=1, q=0.5, a=[[1.0], [0.0]], column_sums=[1.0])
+            BernoulliInstance([[1.0], [0.0]], 0.5)
+
+    def test_sizes_and_column_sums_are_read_off_the_design(self):
+        # the surrogate Gram reads the sums: [9, 9, 9] in place of this
+        # design's [2, 2, 2] would make its first diagonal entry -8.33, not 1
+        a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        inst = BernoulliInstance(a, 0.5)
+        assert (inst.n, inst.p) == (3, 3)
+        assert np.array_equal(inst.column_sums, a.sum(axis=0))
+        gram = surrogate_bernoulli(inst, np.zeros(3)).a_tilde.gram
+        assert gram[0, 0] == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(TypeError):
+            BernoulliInstance(a, 0.5, column_sums=np.full(3, 9.0))
 
 
 class TestMomentOracles:
@@ -148,9 +160,7 @@ class TestMassEstimator:
     def test_zero_counts_arithmetic(self):
         # frozen: theta = 3 log 100, numerator (sqrt(th/2)+sqrt(5 th/6))^2,
         # denominator 5000 - sqrt(5000 th) - 0.5 th / 3
-        inst = BernoulliInstance(
-            n=10_000, p=100, q=0.5, a=np.zeros((10_000, 100)), column_sums=np.zeros(100)
-        )
+        inst = BernoulliInstance(np.zeros((10_000, 100)), 0.5)
         got = l1_norm_estimator(inst, np.zeros(10_000))
         assert got == pytest.approx(0.00765732069178632, rel=1e-12)
 
@@ -171,9 +181,7 @@ class TestMassEstimator:
         assert covered >= 36
 
     def test_small_n_violates_regime(self):
-        inst = BernoulliInstance(
-            n=10, p=50, q=0.5, a=np.zeros((10, 50)), column_sums=np.zeros(50)
-        )
+        inst = BernoulliInstance(np.zeros((10, 50)), 0.5)
         with pytest.raises(RegimeViolationError):
             l1_norm_estimator(inst, np.zeros(10))
 

@@ -16,6 +16,7 @@ from wlasso.cli import main
 from wlasso.convolution import sample_parents, sensing_operator
 from wlasso.experiments import ExperimentConfig, TrialPoint, estimator_keys, key_gammas, run_trial
 from wlasso.model import apply, sample_poisson, trial_rng
+from wlasso.sensing import draw
 
 from reference import count_products
 
@@ -47,8 +48,8 @@ def write_bernoulli_npz(path, **overrides):
     x_star[[2, 6]] = [4.0, 6.0]
     y = sample_poisson(inst.a @ x_star, rng).counts.astype(np.float64)
     arrays = {"a": inst.a, "q": np.float64(0.5), "y": y, "x_star": x_star}
-    arrays.update(overrides)
-    np.savez(path, **arrays)
+    arrays.update(overrides)  # an override of None leaves its key out
+    np.savez(path, **{key: value for key, value in arrays.items() if value is not None})
 
 
 MODEL_ARGS = {
@@ -212,6 +213,27 @@ class TestSolve:
         assert out.startswith("estimator=ls_oracle")
 
     @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_instance_file_solves_as_its_draw(self, model, tmp_path, capsys):
+        # the file holds the draw's arrays alone, so the p, m, n and column
+        # sums read off them must be the drawn ones for every line to match
+        sizes = {"p": 50, "s": 5, "l1": 100.0, "m": 10, "n": 2000, "q": 0.5}
+        if model == "bernoulli":
+            sizes.update(s=3, l1=30.0)
+        kinds = ["--weights", "constant,nonconstant,oracle"]
+        argv = ["solve", "--model", model, "--seed", "3", *kinds]
+        code, want, err = run_cli(argv + [f"--{k}={v}" for k, v in sizes.items()], capsys)
+        assert code == 0, err
+        inst, y, x_star, _ = draw(model, sizes["p"], sizes["s"], sizes["l1"], trial_rng(3),
+                                  m=sizes["m"], n=sizes["n"], q=sizes["q"])
+        design = {"counts": inst.counts} if model == "convolution" else {"a": inst.a, "q": inst.q}
+        path = tmp_path / "draw.npz"
+        np.savez(path, **design, y=y, x_star=x_star)
+        code, got, err = run_cli(["solve", "--instance", str(path), *kinds], capsys)
+        assert code == 0, err
+        assert len(want.splitlines()) == 4
+        assert got == want
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_agrees_with_run_trial(self, model, seed, capsys):
         # one estimator rule: trial 0 of master seed k is the draw of --seed k
@@ -250,6 +272,17 @@ def test_cli_holds_no_estimator_rule():
     # alone, so the command line cannot fork it
     assert _names(_tree(wlasso.cli)).isdisjoint({
         "weighted_lasso", "oracle_least_squares", "two_step", "detected_support", "SolverConfig",
+    })
+
+
+def test_cli_knows_no_sensing_model():
+    # an --instance file becomes an instance in sensing.from_arrays, so the
+    # command line imports neither model module and builds no instance itself
+    tree = _tree(wlasso.cli)
+    modules = {(n.module or "").split(".")[-1] for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom)}
+    assert (_names(tree) | modules).isdisjoint({
+        "bernoulli", "convolution", "ConvolutionInstance", "BernoulliInstance",
     })
 
 
@@ -311,24 +344,32 @@ class TestProducts:
 
 
 class TestInstanceValidation:
-    """Malformed --instance files are usage errors naming the offending key."""
+    """Malformed --instance files are usage errors naming the offending key;
+    a key the file leaves out is named as the flag that stands in for it."""
 
-    @pytest.mark.parametrize("model, key, value", [
-        ("convolution", "x_star", np.ones(29)),
-        ("convolution", "y", -np.ones(30)),
-        ("convolution", "y", np.ones((30, 1))),
-        ("convolution", "y", np.full(30, np.nan)),
-        ("convolution", "y", np.ones(31)),
-        ("convolution", "counts", np.array([1, -1, 2])),
-        ("bernoulli", "a", 3.7 * sample_bernoulli_matrix(200, 10, 0.5, trial_rng(0)).a),
-        ("bernoulli", "q", np.float64(1.5)),
-        ("bernoulli", "a", np.ones((1, 10))),
-        ("bernoulli", "a", np.ones((200, 1))),
-        ("bernoulli", "a", np.ones((200, 0))),
+    @pytest.mark.parametrize("model, key, value, argv, budget", [
+        ("convolution", "x_star", np.ones(29), [], None),
+        ("convolution", "y", -np.ones(30), [], None),
+        ("convolution", "y", np.ones((30, 1)), [], None),
+        ("convolution", "y", np.full(30, np.nan), [], None),
+        ("convolution", "y", np.ones(31), [], None),
+        ("convolution", "counts", np.array([1, -1, 2]), [], None),
+        ("bernoulli", "a", 3.7 * sample_bernoulli_matrix(200, 10, 0.5, trial_rng(0)).a, [], None),
+        ("bernoulli", "q", np.float64(1.5), [], None),
+        ("bernoulli", "a", np.ones((1, 10)), [], None),
+        ("bernoulli", "a", np.ones((200, 1)), [], None),
+        ("bernoulli", "a", np.ones((200, 0)), [], None),
+        ("convolution", "counts", np.array([12] + [0] * 29), [], 8 * 11),
+        ("bernoulli", "a", sample_bernoulli_matrix(200, 10, 0.5, trial_rng(0)).a, [], 8 * 1999),
+        ("bernoulli", "q", None, ["--q", "2"], None),
+        ("convolution", "counts", np.array([1.5, 1.5] + [0] * 28), [], None),
     ], ids=["x_star-length", "y-negative", "y-not-1d", "y-not-finite", "y-length",
             "counts-negative", "a-not-binary", "q-outside", "a-one-row", "a-one-column",
-            "a-no-columns"])
-    def test_malformed_file_is_usage_error(self, model, key, value, tmp_path, capsys):
+            "a-no-columns", "counts-over-budget", "a-over-budget", "q-flag-outside",
+            "counts-fractional"])
+    def test_malformed_file_is_usage_error(
+        self, model, key, value, argv, budget, tmp_path, monkeypatch, capsys
+    ):
         path = tmp_path / "bad.npz"
         if model == "convolution":
             rng = trial_rng(0)
@@ -338,9 +379,11 @@ class TestInstanceValidation:
             np.savez(path, **arrays)
         else:
             write_bernoulli_npz(path, **{key: value})
-        code, _, err = run_cli(["solve", "--instance", str(path)], capsys)
+        if budget is not None:  # the size rule, without allocating past it
+            monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", budget)
+        code, _, err = run_cli(["solve", "--instance", str(path), *argv], capsys)
         assert code == 1, err
-        assert f"'{key}'" in err
+        assert (f"'{key}'" if value is not None else f"error: --{key} ") in err
 
     def test_file_without_design_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "no_design.npz"

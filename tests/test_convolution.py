@@ -21,6 +21,7 @@ from wlasso.convolution import (
     sensing_operator,
     surrogate_convolution,
 )
+from wlasso.errors import ParameterError
 from wlasso.model import (
     apply,
     cyclic_correlate,
@@ -63,9 +64,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_parents(10, 0, trial_rng(0))
         with pytest.raises(ValueError):
-            ConvolutionInstance(p=5, m=3, counts=np.array([1, 1, 0, 0, 0]))
+            ConvolutionInstance(np.zeros(5, dtype=int))
         with pytest.raises(ValueError):
-            ConvolutionInstance(p=5, m=1, counts=np.array([2, -1, 0, 0, 0]))
+            ConvolutionInstance(np.array([2, -1, 0, 0, 0]))
+
+    def test_sizes_are_read_off_the_counts(self):
+        inst = ConvolutionInstance(np.array([5, 1, 2, 0]))
+        assert (inst.p, inst.m) == (4, 8)
+        # counts are whole numbers: 1.5 parents are refused, not truncated to 1
+        with pytest.raises(ParameterError) as info:
+            ConvolutionInstance(counts=[1.5, 1.5, 0, 0])
+        assert info.value.name == "counts"
 
 
 class TestCountConcentration:
@@ -107,7 +116,7 @@ class TestSurrogate:
         assert gap < 1e-10
 
     def test_m_equal_one_is_identity_recentring(self):
-        inst = ConvolutionInstance(p=6, m=1, counts=np.array([0, 0, 1, 0, 0, 0]))
+        inst = ConvolutionInstance(np.array([0, 0, 1, 0, 0, 0]))
         y = np.arange(6, dtype=np.float64)
         pair = surrogate_convolution(inst, y)
         assert np.array_equal(pair.y_tilde, y)
@@ -121,7 +130,7 @@ class TestSurrogate:
 
 class TestCountStatistics:
     def test_spread_bound_by_hand(self):
-        inst = ConvolutionInstance(p=4, m=8, counts=np.array([5, 1, 2, 0]))
+        inst = ConvolutionInstance(np.array([5, 1, 2, 0]))
         center = (8 - 1) / 4
         want = max(abs(c - center) for c in (5, 1, 2, 0)) / 8
         assert count_spread_bound(inst) == pytest.approx(want, rel=1e-15)

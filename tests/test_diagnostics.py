@@ -300,13 +300,13 @@ class TestUstat:
         p, m = 12, 5
         counts = np.zeros(p, dtype=int)
         counts[[0, 3, 5, 8, 10]] = 1
-        inst = ConvolutionInstance(p=p, m=m, counts=counts)
+        inst = ConvolutionInstance(counts)
         assert ustat_check(inst) <= 1e-12
         u0 = float(counts @ counts) - m - m * (m - 1) / p
         assert u0 == pytest.approx(-m * (m - 1) / p)
 
     def test_single_parent(self):
-        inst = ConvolutionInstance(p=8, m=1, counts=np.eye(8, dtype=int)[2])
+        inst = ConvolutionInstance(np.eye(8, dtype=int)[2])
         assert ustat_check(inst) <= 1e-12
 
 
