@@ -222,4 +222,4 @@ def nonconstant_weights(
     n_hat = l1_norm_estimator(inst, y, theta)
     d = empirical_deviation_bound(_r_inf_bound(inst), variance_statistics(inst, y), theta)
     d += _second_order_term(inst, c, theta, n_hat)
-    return WeightVector(d, "nonconstant")
+    return WeightVector(d)

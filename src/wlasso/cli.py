@@ -83,7 +83,10 @@ _FILE_NDIM = {"counts": 1, "a": 2, "q": 0, "y": 1, "x_star": 1}  # an instance f
 
 def _instance_field(data, key: str, ndim: int) -> np.ndarray:
     """data[key] as floats, if it is a finite number, vector or matrix."""
-    value = np.asarray(data[key])
+    try:
+        value = np.asarray(data[key])
+    except ValueError:  # an object array: np.load will not unpickle it, and it is refused below
+        value = np.asarray(None)
     if value.dtype.kind not in "biuf" or value.ndim != ndim or not np.all(np.isfinite(value)):
         what = ("number", "vector", "matrix")[ndim]
         raise _UsageError(f"instance file: {key!r} must be a finite {what}")
@@ -138,23 +141,23 @@ def _fmt(x: float) -> str:
 
 
 def _nmse(x_hat: np.ndarray, x_star: np.ndarray) -> str:
-    """||x_hat - x*||^2 / ||x*||_1, or over 1 when x* = 0, as run_trial divides."""
+    """||x_hat - x*||^2 / ||x*||_1, or over 1 when x* = 0 (run_trial divides by target_l1)."""
     err = x_hat - x_star
     return _fmt(float(err @ err) / (float(np.abs(x_star).sum()) or 1.0))
 
 
 def _cmd_solve(args) -> int:
-    inst, y, x_star, support = _instance_from_args(args)
+    inst, y, x_star = _instance_from_args(args)
     kinds = list(dict.fromkeys(kind.strip() for kind in args.weights.split(",")))
     for kind in kinds:
         check_weight_kind(kind, x_star)
     check_gamma(args.gamma)  # a usage error before any work
     pair, deviation = _pair_and_score(inst, y, x_star)
     built = {kind: weights(kind, inst, y, deviation, args.theta, args.c) for kind in kinds}
-    cells = [("ls_oracle", "none", 0.0)] if support is not None and support.size else []
+    cells = [("ls_oracle", "none", 0.0)] if x_star is not None and x_star.any() else []
     cells += [(ESTIMATOR_OF[kind], kind, args.gamma) for kind in kinds]
     lines = []
-    for (est, kind, _), result, x_hat in estimates(pair, support, built, cells):
+    for (est, kind, _), result, x_hat in estimates(pair, x_star, built, cells):
         if isinstance(x_hat, Exception):
             raise x_hat
         parts = [f"estimator={est}", f"weight_kind={kind}"]
@@ -174,7 +177,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    inst, y, x_star, _ = _instance_from_args(args)
+    inst, y, x_star = _instance_from_args(args)
     _, deviation = _pair_and_score(inst, y, x_star)
     w = weights(args.kind, inst, y, deviation, args.theta, args.c)
     lines = ["index,weight"]
@@ -184,7 +187,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    inst, y, x_star, support = _instance_from_args(args)
+    inst, y, x_star = _instance_from_args(args)
     if x_star is None:
         raise _UsageError("diagnose needs x_star (generated instances have it)")
     if args.rip_s is not None and not 1 <= args.rip_s <= inst.p:
@@ -192,9 +195,8 @@ def _cmd_diagnose(args) -> int:
     pair, deviation = _pair_and_score(inst, y, x_star)
     w = weights(args.kind, inst, y, deviation, args.theta, args.c)
     theta = default_theta(inst) if args.theta is None else args.theta
-    report = assumption_report(
-        pair, support, deviation, w, gamma=args.gamma, theta_used=theta, rip_s=args.rip_s
-    )
+    report = assumption_report(pair, np.flatnonzero(x_star), deviation, w, gamma=args.gamma,
+                               theta_used=theta, rip_s=args.rip_s)
     _emit(report.to_text(), args.out)
     return 0
 

@@ -44,7 +44,7 @@ class ConvolutionInstance:
         counts = np.asarray(self.counts)
         if counts.ndim != 1:
             raise ParameterError("counts", "must be a vector", counts.shape)
-        bad = counts < 0 if counts.dtype.kind in "iu" else (counts < 0) | (counts % 1 != 0)
+        bad = ~(np.isfinite(counts) & (counts >= 0) & (np.floor(counts) == counts))
         if bad.any():
             first = counts[bad][0].item()
             raise ParameterError("counts", "must be nonnegative whole numbers", first)
@@ -120,4 +120,4 @@ def nonconstant_weights(
         theta = default_theta(inst.p)
     v_hat = local_variance_estimates(inst, y)
     d = empirical_deviation_bound(count_spread_bound(inst), v_hat, theta)
-    return WeightVector(d, "nonconstant")
+    return WeightVector(d)

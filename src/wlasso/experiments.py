@@ -168,20 +168,21 @@ def estimator_keys(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     ]
 
 
-def estimates(pair, support, built, cells) -> Iterator[tuple]:
+def estimates(pair, x_star, built, cells) -> Iterator[tuple]:
     """The estimator rule: yield (cell, result, estimate) for each (estimator, kind, gamma) cell.
 
-    ls_oracle refits the true support and has no solve (result None).  Every
-    other estimator solves at built[kind] under `_solver_config(gamma)` and
-    refits the support it detects.  Each distinct support is refit once: the
-    same Gram block gives the same bits.  The estimate is the error raised in
-    its place when the weights (built[kind] is that error), the solve or the
-    refit raised; an error is never cached, so it fails each of its cells.  A
-    result that did not converge is yielded as it is, with its refit.  Lazy:
+    ls_oracle refits the true support, np.flatnonzero(x_star), and has no
+    solve (result None).  Every other estimator solves at built[kind] under
+    `_solver_config(gamma)` and refits the support it detects.  Each distinct
+    support, the empty one included, is refit once by oracle_least_squares:
+    the same Gram block gives the same bits.  The estimate is the error raised
+    in its place when the weights (built[kind] is that error), the solve or
+    the refit raised; an error is never cached, so it fails each of its cells.
+    A result that did not converge is yielded as it is, with its refit.  Lazy:
     a cell is estimated only when it is asked for, so a caller that stops at
     an error does no further work.
     """
-    refits: dict = {b"": np.zeros(pair.a_tilde.n_cols)}  # the empty support refits to zero
+    refits: dict = {}
     for est, kind, gamma in cells:
         result = None
         try:
@@ -189,7 +190,7 @@ def estimates(pair, support, built, cells) -> Iterator[tuple]:
                 if isinstance(built[kind], Exception):
                     raise built[kind]
                 result = weighted_lasso(pair, built[kind], _solver_config(gamma))
-            cols = support if result is None else detected_support(result.x_hat)
+            cols = np.flatnonzero(x_star) if result is None else detected_support(result.x_hat)
             if cols.tobytes() not in refits:
                 refits[cols.tobytes()] = oracle_least_squares(pair, cols)
             estimate = refits[cols.tobytes()]
@@ -220,11 +221,12 @@ def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> 
     design and its adjoint twice each (the intensity and aty, then that
     score), whatever its cells.  The estimates come from `estimates`, the
     estimator rule `wlasso solve` shares; a solve that did not converge fails
-    its cell as a NonConvergenceError.
+    its cell as a NonConvergenceError.  nmse divides by cfg.target_l1, which
+    the drawn x* sums to up to rounding (`wlasso solve` divides by ||x*||_1).
     """
     cfg = point.cfg
     rng = trial_rng(cfg.master_seed, trial_index)
-    inst, y, x_star, support = draw(
+    inst, y, x_star = draw(
         cfg.model, point.p, cfg.s, cfg.target_l1, rng,
         m=point.m, n=cfg.n, q=cfg.q, noiseless=cfg.noiseless,
     )
@@ -243,7 +245,7 @@ def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> 
     denom = cfg.target_l1 if cfg.target_l1 > 0 else 1.0
     nmse: dict = {}
     failures: dict = {}
-    for cell, result, x_hat in estimates(pair, support, built, cells):
+    for cell, result, x_hat in estimates(pair, x_star, built, cells):
         if result is not None and not result.converged:
             x_hat = NonConvergenceError(result.iterations, result.kkt_residual)
         if isinstance(x_hat, Exception):  # recorded, not swallowed

@@ -151,15 +151,14 @@ def make_sparse_signal(
 
 @dataclass(eq=False)
 class PoissonObservations:
-    """Observed counts; intensity_dim is the row count of the sensing operator."""
+    """Observed counts, one per row of the sensing operator."""
 
     counts: np.ndarray
-    intensity_dim: int
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or self.counts.size != self.intensity_dim:
-            raise ValueError("counts must be a vector of length intensity_dim")
+        if self.counts.ndim != 1:
+            raise ValueError("counts must be a vector")
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
 
@@ -171,8 +170,7 @@ def sample_poisson(intensity, rng: np.random.Generator) -> PoissonObservations:
         raise ValueError("intensity must be a vector")
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise ValueError("intensity must be nonnegative and finite")
-    counts = rng.poisson(lam)
-    return PoissonObservations(np.asarray(counts, np.int64), lam.size)
+    return PoissonObservations(rng.poisson(lam))
 
 
 SUPPORT_SUM_MAX = 64

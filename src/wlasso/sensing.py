@@ -4,8 +4,10 @@ Both models reduce to a recentred surrogate pair plus data-dependent weights,
 after which the solver and diagnostics see no model.  The CLI and the harness
 draw instances or read them from arrays (`from_arrays`, the CLI's instance
 files), build surrogate pairs and weights, and look up theta here.
-`weights` builds every kind; the oracle kind reads the score at the truth,
-deviation_at_truth(pair, x_star), which its caller computes once per instance.
+`weights` builds every kind of WEIGHT_KINDS, which is written here: the
+solver sees weight values, never a kind.  The oracle kind reads the score at
+the truth, deviation_at_truth(pair, x_star), which its caller computes once per
+instance.  A Draw's truth is x_star alone: its support is np.flatnonzero(x_star).
 Model functions are looked up on their modules at call time, never captured.
 """
 from __future__ import annotations
@@ -20,18 +22,19 @@ from .errors import ParameterError, WeightKindError
 from .model import (
     SurrogatePair, apply, check_signal, check_vector, make_sparse_signal, sample_poisson,
 )
-from .solver import WEIGHT_KINDS, WeightVector
+from .solver import WeightVector
 
 MODELS = ("convolution", "bernoulli")
+WEIGHT_KINDS = ("constant", "nonconstant", "oracle")
 
 
 class Draw(NamedTuple):
-    """One instance: the sensing draw, its observations and, if known, the truth."""
+    """One instance: the sensing draw, its observations and, if known, the truth,
+    whose nonzeros are its support."""
 
     inst: object
     y: np.ndarray
     x_star: Optional[np.ndarray]
-    support: Optional[np.ndarray]
 
 
 def _module(inst):
@@ -51,7 +54,7 @@ def draw(
         inst = _bernoulli.sample_bernoulli_matrix(n, p, q, rng)
     intensity = apply(_module(inst).sensing_operator(inst), x_star, exact=True)
     y = intensity if noiseless else sample_poisson(intensity, rng).counts.astype(np.float64)
-    return Draw(inst, y, x_star, signal.support)
+    return Draw(inst, y, x_star)
 
 
 def from_arrays(arrays: Mapping[str, np.ndarray], q: float) -> Draw:
@@ -72,7 +75,7 @@ def from_arrays(arrays: Mapping[str, np.ndarray], q: float) -> Draw:
     x_star = arrays.get("x_star")
     if x_star is not None:
         x_star = check_vector("x_star", x_star, inst.p)
-    return Draw(inst, y, x_star, None if x_star is None else np.flatnonzero(x_star))
+    return Draw(inst, y, x_star)
 
 
 def check_params(
@@ -102,7 +105,7 @@ def default_theta(inst) -> float:
 
 def oracle_weights(deviation: np.ndarray, floor: float = 1e-12) -> WeightVector:
     """|score at the truth|, floored; deviation is deviation_at_truth(pair, x_star)."""
-    return WeightVector(np.maximum(np.abs(deviation), floor), "oracle")
+    return WeightVector(np.maximum(np.abs(deviation), floor))
 
 
 def check_weight_kind(kind: str, truth) -> None:

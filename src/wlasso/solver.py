@@ -58,30 +58,22 @@ class SolverConfig:
             raise ParameterError("support_eps", "must be >= 0", self.support_eps)
 
 
-WEIGHT_KINDS = ("constant", "nonconstant", "oracle")
-
-
 @dataclass(eq=False)
 class WeightVector:
-    """Per-coordinate penalty weights d_k > 0, of one of WEIGHT_KINDS."""
+    """Per-coordinate penalty weights d_k > 0; callers key them by kind."""
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("weights must be a nonempty vector")
         if np.any(self.values <= 0) or not np.all(np.isfinite(self.values)):
             raise ValueError("weights must be positive and finite")
-        if self.kind == "constant" and np.any(self.values != self.values[0]):
-            raise ValueError("constant weights must all be equal")
 
     @classmethod
     def constant(cls, p: int, value: float) -> "WeightVector":
-        return cls(np.full(p, float(value)), "constant")
+        return cls(np.full(p, float(value)))
 
     @property
     def max_weight(self) -> float:
@@ -277,18 +269,22 @@ def _working_set(x, score, thresholds) -> np.ndarray:
 def oracle_least_squares(pair: SurrogatePair, support) -> np.ndarray:
     """Least squares on a known support S, zero elsewhere: gram[S, S] c = aty[S].
 
-    Reads only the cached gram and aty, so it applies no design product.  Refuses
-    (SingularDesignError) when the block has lambda_min <= 1e-12 lambda_max, i.e.
-    column sigma_min / sigma_max <= 1e-6: the eigenvalues square the column
-    ratio, and float64 resolves them only to about 1e-16 lambda_max.
+    The empty support refits to zero.  Reads only the cached gram and aty, so
+    it applies no design product.  Refuses (SingularDesignError) when the block
+    has lambda_min <= 1e-12 lambda_max, i.e. column sigma_min / sigma_max <= 1e-6:
+    the eigenvalues square the column ratio, and float64 resolves them only to
+    about 1e-16 lambda_max.
     """
     support = np.asarray(support, dtype=np.int64)
-    if support.ndim != 1 or support.size == 0:
-        raise ValueError("support must be a nonempty index vector")
+    if support.ndim != 1:
+        raise ValueError("support must be an index vector")
+    p = pair.a_tilde.n_cols
+    x = np.zeros(p)
+    if not support.size:
+        return x
     ordered = np.sort(support)  # np.unique would load numpy.ma on its first call
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("support must not repeat indices")
-    p = pair.a_tilde.n_cols
     if support.min() < 0 or support.max() >= p:
         raise ValueError("support indices out of range")
     block = pair.a_tilde.gram[np.ix_(support, support)]
@@ -296,7 +292,6 @@ def oracle_least_squares(pair: SurrogatePair, support) -> np.ndarray:
     if eigs[0] <= 1e-12 * eigs[-1]:
         sigma = np.sqrt(np.maximum(eigs, 0.0))
         raise SingularDesignError(float(sigma[0]), float(sigma[-1]))
-    x = np.zeros(p)
     x[support] = np.linalg.solve(block, pair.aty[support])
     return x
 
@@ -309,9 +304,7 @@ def detected_support(x: np.ndarray, support_eps: float = SolverConfig.support_ep
 def two_step(
     first_stage: np.ndarray, pair: SurrogatePair, support_eps: float = SolverConfig.support_eps
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refit least squares on the detected support of a first-stage estimate."""
-    first_stage = np.asarray(first_stage, dtype=np.float64)
-    support = detected_support(first_stage, support_eps)
-    if support.size == 0:
-        return support, np.zeros(first_stage.size)
+    """Refit least squares on the detected support of a first-stage estimate
+    (zero when nothing is detected, as oracle_least_squares refits it)."""
+    support = detected_support(np.asarray(first_stage, dtype=np.float64), support_eps)
     return support, oracle_least_squares(pair, support)

@@ -109,7 +109,7 @@ def test_criterion_2_orthonormal_equivalence():
         gamma = gammas[t % 3]
         pair = SurrogatePair(Dense(qmat), y)
         res = weighted_lasso(
-            pair, WeightVector(d, "nonconstant"), SolverConfig(gamma=gamma)
+            pair, WeightVector(d), SolverConfig(gamma=gamma)
         )
         corr = qmat.T @ y
         closed = np.sign(corr) * np.maximum(np.abs(corr) - gamma * d / 2.0, 0.0)

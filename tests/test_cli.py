@@ -11,6 +11,7 @@ import wlasso.diagnostics
 import wlasso.experiments
 import wlasso.model
 import wlasso.sensing
+import wlasso.solver
 from wlasso.bernoulli import sample_bernoulli_matrix
 from wlasso.cli import main
 from wlasso.convolution import sample_parents, sensing_operator
@@ -223,8 +224,8 @@ class TestSolve:
         argv = ["solve", "--model", model, "--seed", "3", *kinds]
         code, want, err = run_cli(argv + [f"--{k}={v}" for k, v in sizes.items()], capsys)
         assert code == 0, err
-        inst, y, x_star, _ = draw(model, sizes["p"], sizes["s"], sizes["l1"], trial_rng(3),
-                                  m=sizes["m"], n=sizes["n"], q=sizes["q"])
+        inst, y, x_star = draw(model, sizes["p"], sizes["s"], sizes["l1"], trial_rng(3),
+                               m=sizes["m"], n=sizes["n"], q=sizes["q"])
         design = {"counts": inst.counts} if model == "convolution" else {"a": inst.a, "q": inst.q}
         path = tmp_path / "draw.npz"
         np.savez(path, **design, y=y, x_star=x_star)
@@ -284,6 +285,15 @@ def test_cli_knows_no_sensing_model():
     assert (_names(tree) | modules).isdisjoint({
         "bernoulli", "convolution", "ConvolutionInstance", "BernoulliInstance",
     })
+
+
+def test_solver_names_no_weight_kind():
+    # a weight vector is its values; the kinds live in sensing, so a new kind
+    # needs no edit in the solver
+    tree = _tree(wlasso.solver)
+    kinds = set(wlasso.sensing.WEIGHT_KINDS)
+    assert "WEIGHT_KINDS" not in _names(tree)
+    assert not [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in kinds]
 
 
 def test_weights_of_every_kind_come_from_sensing():
@@ -363,10 +373,12 @@ class TestInstanceValidation:
         ("bernoulli", "a", sample_bernoulli_matrix(200, 10, 0.5, trial_rng(0)).a, [], 8 * 1999),
         ("bernoulli", "q", None, ["--q", "2"], None),
         ("convolution", "counts", np.array([1.5, 1.5] + [0] * 28), [], None),
+        ("convolution", "counts", np.array([12] + [0] * 29, dtype=object), [], None),
+        ("bernoulli", "q", np.array(None, dtype=object), [], None),
     ], ids=["x_star-length", "y-negative", "y-not-1d", "y-not-finite", "y-length",
             "counts-negative", "a-not-binary", "q-outside", "a-one-row", "a-one-column",
             "a-no-columns", "counts-over-budget", "a-over-budget", "q-flag-outside",
-            "counts-fractional"])
+            "counts-fractional", "counts-object", "q-object"])
     def test_malformed_file_is_usage_error(
         self, model, key, value, argv, budget, tmp_path, monkeypatch, capsys
     ):

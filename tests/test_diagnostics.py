@@ -356,9 +356,8 @@ class TestAssumptionReport:
 
     def test_re_bound_is_the_cone_constant(self):
         # criterion 7's regime, where the cone constant is valid
-        inst, y, x_star, support = draw(
-            "convolution", 2000, 1, 50.0, trial_rng(3), m=500, n=0, q=0.5
-        )
+        inst, y, x_star = draw("convolution", 2000, 1, 50.0, trial_rng(3), m=500, n=0, q=0.5)
+        support = np.flatnonzero(x_star)
         pair = surrogate(inst, y)
         w = weights("constant", inst, y)
         rep = assumption_report(pair, support, deviation_at_truth(pair, x_star), w, 6.0,

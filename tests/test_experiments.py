@@ -235,17 +235,21 @@ class TestRunTrial:
 
         monkeypatch.setattr(wlasso.experiments, "weighted_lasso", recording_solve)
         monkeypatch.setattr(wlasso.experiments, "oracle_least_squares", counting_refit)
+        # at gamma 1e6 the constant weights detect nothing: the empty support is
+        # refit like any other, once
+        empty = (("lasso_two_step", "constant", 1e6),)
         for i in range(3):
             supports.clear()
             refits.clear()
-            out = run_trial(point, i, cells(point, 2.1, 4.0))
+            out = run_trial(point, i, cells(point, 2.1, 4.0) + empty)
             cfg = point.cfg
-            supports.append(draw(
+            supports.append(np.flatnonzero(draw(
                 cfg.model, point.p, cfg.s, cfg.target_l1, trial_rng(cfg.master_seed, i),
                 m=point.m, n=cfg.n, q=cfg.q,
-            ).support.tobytes())
-            distinct = {key for key in supports if key}
-            assert len(supports) > len(distinct) > 1
+            ).x_star).tobytes())
+            distinct = set(supports)
+            assert b"" in distinct
+            assert len(supports) > len(distinct) > 2
             assert sorted(refits) == sorted(distinct)
             assert not out.failures
 
@@ -325,7 +329,7 @@ class TestRunTrial:
         outcomes = set()
         for i in (0, 18, 21):
             got = run_trial(point, i, cells(point, 4.0)).coverage
-            inst, y, x_star, _ = draw(
+            inst, y, x_star = draw(
                 cfg.model, point.p, cfg.s, cfg.target_l1, trial_rng(cfg.master_seed, i),
                 m=0, n=cfg.n, q=cfg.q,
             )

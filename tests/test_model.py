@@ -151,7 +151,7 @@ class TestPoisson:
         a = sample_poisson(lam, trial_rng(11))
         b = sample_poisson(lam, trial_rng(11))
         assert np.array_equal(a.counts, b.counts)
-        assert a.intensity_dim == lam.size
+        assert a.counts.size == lam.size
 
     def test_zero_intensity_zero_counts(self):
         obs = sample_poisson(np.zeros(8), trial_rng(0))
@@ -316,7 +316,7 @@ class TestForwardIntensity:
         for seed in range(20):
             noisy = draw("convolution", 5000, s, 100.0, trial_rng(seed), m=m, n=0, q=0.5)
             assert np.all(noisy.y >= 0)
-            inst, intensity, x_star, _ = draw(
+            inst, intensity, x_star = draw(
                 "convolution", 5000, s, 100.0, trial_rng(seed), m=m, n=0, q=0.5,
                 noiseless=True,
             )

@@ -54,7 +54,7 @@ def random_circulant_pair(seed, p=40):
 
 def random_weights(seed, p):
     vals = trial_rng(seed).uniform(0.2, 2.0, size=p)
-    return WeightVector(vals, "nonconstant")
+    return WeightVector(vals)
 
 
 def full_sweep_lasso(pair, w, gamma, tol_kkt=1e-8):
@@ -85,7 +85,7 @@ def model_instance(model, p, seed, s=None, m=None):
     """A drawn surrogate pair with its constant and nonconstant weights."""
     rng = trial_rng(seed)
     s = s or (3 if p == 50 else 15)
-    inst, y, _, _ = draw(model, p, s, 100.0, rng, m=m or (12 if p == 50 else 60), n=2000, q=0.5)
+    inst, y, _ = draw(model, p, s, 100.0, rng, m=m or (12 if p == 50 else 60), n=2000, q=0.5)
     pair = surrogate(inst, y)
     return pair, {kind: weights(kind, inst, y) for kind in ("constant", "nonconstant")}
 
@@ -351,7 +351,7 @@ class TestInvariances:
         # (gamma, c*d) and (c*gamma, d) define the same objective
         pair = random_dense_pair(14)
         base = random_weights(15, 12)
-        scaled = WeightVector(3.0 * base.values, "nonconstant")
+        scaled = WeightVector(3.0 * base.values)
         a = weighted_lasso(pair, scaled, SolverConfig(gamma=2.5))
         b = weighted_lasso(pair, base, SolverConfig(gamma=7.5))
         assert np.max(np.abs(a.x_hat - b.x_hat)) < 1e-10
@@ -444,22 +444,14 @@ class TestConfigAndWeights:
         with pytest.raises(ValueError):
             SolverConfig(gamma=3.0, max_iter=0)
 
-    def test_constant_kind_enforced(self):
-        with pytest.raises(ValueError):
-            WeightVector(np.array([1.0, 2.0]), "constant")
-
     def test_positive_weights_enforced(self):
         with pytest.raises(ValueError):
-            WeightVector(np.array([1.0, 0.0]), "nonconstant")
+            WeightVector(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            WeightVector(np.array([1.0, np.inf]), "oracle")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            WeightVector(np.ones(3), "adaptive")
+            WeightVector(np.array([1.0, np.inf]))
 
     def test_penalty_ratio_bound(self):
-        w = WeightVector(np.array([1.0, 4.0]), "nonconstant")
+        w = WeightVector(np.array([1.0, 4.0]))
         assert w.penalty_ratio_bound(4.0) == pytest.approx((6.0 / 2.0) * 4.0)
         with pytest.raises(ValueError):
             w.penalty_ratio_bound(2.0)
@@ -521,7 +513,8 @@ class TestRefitting:
 
     def test_gram_refit_matches_lstsq_circulant_p5000(self):
         rng = trial_rng(9)
-        inst, y, _, support = draw("convolution", 5000, 50, 100.0, rng, m=1280, n=0, q=0.5)
+        inst, y, x_star = draw("convolution", 5000, 50, 100.0, rng, m=1280, n=0, q=0.5)
+        support = np.flatnonzero(x_star)
         pair = surrogate(inst, y)
         c = pair.a_tilde.generator  # column k of a circulant is roll(c, k)
         self.assert_matches_lstsq(pair, support, np.stack([np.roll(c, k) for k in support], axis=1))
@@ -563,9 +556,12 @@ class TestRefitting:
             oracle_least_squares(pair, np.array([0, 5]))
 
     def test_support_validation(self):
+        # the empty support refits to zero; a repeated or out-of-range index is refused
+        for pair in (random_dense_pair(33), random_circulant_pair(33)):
+            p = pair.a_tilde.n_cols
+            refit = oracle_least_squares(pair, np.array([], dtype=int))
+            assert refit.shape == (p,) and not refit.any()
         pair = random_dense_pair(33)
-        with pytest.raises(ValueError):
-            oracle_least_squares(pair, np.array([], dtype=int))
         with pytest.raises(ValueError):
             oracle_least_squares(pair, np.array([0, 0]))
         with pytest.raises(ValueError):
@@ -623,7 +619,7 @@ class TestGramSpaceScore:
 
     def test_equals_residual_route_circulant_p5000(self):
         rng = trial_rng(8)
-        inst, y, x_star, _ = draw("convolution", 5000, 5, 100.0, rng, m=40, n=0, q=0.5)
+        inst, y, x_star = draw("convolution", 5000, 5, 100.0, rng, m=40, n=0, q=0.5)
         pair = surrogate(inst, y)
         self.assert_matches_residual_route(pair, x_star)
         w = weights("nonconstant", inst, y)
