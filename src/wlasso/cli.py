@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", help="flat key = value config file")
     p_exp.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--threads", type=int, default=0, help="0 = all cores")
+    p_exp.add_argument(
+        "--threads", type=int, default=0, help="0 = every core this process may use"
+    )
     p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--dump-config", default=None)
     p_exp.set_defaults(func=_cmd_experiment)

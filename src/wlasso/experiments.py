@@ -6,7 +6,9 @@ then each (estimator, weight kind, gamma) cell it is given, each solved from a
 cold start.  Tuning runs each trial of a disjoint block of indices once over
 every tuned key's gamma grid, so evaluation trials never leak into the gamma
 choice; evaluation then runs each trial once with every key at its own tuned
-gamma.  A sweep runs every trial on one process pool (none at one thread).
+gamma.  A pooled sweep is one task queue of contiguous blocks of trials:
+every point's tuning blocks at once, then each point's evaluation blocks as
+soon as its tuning returns (none at one thread or one usable core).
 Aggregation folds results in trial-index order, so thread counts and
 completion order cannot change a single output byte.
 
@@ -19,10 +21,8 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import repeat
 from typing import Iterator, Optional, get_origin, get_type_hints
 
 import numpy as np
@@ -263,36 +263,39 @@ def _solver_config(gamma: float) -> SolverConfig:
         return SolverConfig(gamma)
 
 
-def _map_trials(point, indices, cells, pool) -> list[TrialOutcome]:
-    """run_trial at each index over the same cells, in index order, serially or on the pool."""
-    args = (repeat(point), indices, repeat(cells))
-    return list(map(run_trial, *args) if pool is None else pool.map(run_trial, *args))
+def _map_trials(point, indices, cells) -> list[TrialOutcome]:
+    """run_trial at each index over the same cells, in index order; one pool task."""
+    return [run_trial(point, i, cells) for i in indices]
 
 
-def tune_gamma(
-    point: TrialPoint, pool: Optional[Executor] = None
-) -> dict[tuple[str, str], Optional[float]]:
-    """Pick gamma per estimator key on a disjoint tuning block; ties go small.
+def _tuning(cfg: ExperimentConfig) -> tuple[range, tuple]:
+    """The tuning block's indices, and every tuned key's cells over its grid;
+    a key with one gamma (see `key_gammas`) needs no tuning, so it has no cell."""
+    cells = tuple(key + (g,) for key in estimator_keys(cfg)
+                  if len(key_gammas(cfg, key)) > 1 for g in key_gammas(cfg, key))
+    return range(TUNE_INDEX_BASE, TUNE_INDEX_BASE + cfg.tune_trials), cells
 
-    A key with one gamma (see `key_gammas`) needs no tuning and runs no trial.
+
+def _pick_gammas(cfg: ExperimentConfig, outcomes) -> dict[tuple[str, str], Optional[float]]:
+    """The tuning rule: per key, its grid's argmin of mean nmse; ties go small.
+
     Every gamma of a key is scored on the same trials: those the key finished
     at every gamma of its grid.  If there are none, its gamma is None (untuned).
     """
-    cfg = point.cfg
-    grids = {key: key_gammas(cfg, key) for key in estimator_keys(cfg)}
-    out = {key: grid[0] for key, grid in grids.items() if len(grid) == 1}
-    tuned = {key: [key + (g,) for g in grid] for key, grid in grids.items() if key not in out}
-    cells = tuple(cell for key_cells in tuned.values() for cell in key_cells)
-    indices = range(TUNE_INDEX_BASE, TUNE_INDEX_BASE + cfg.tune_trials)
-    outcomes = _map_trials(point, indices, cells, pool) if cells else []
-    for key, key_cells in tuned.items():
+    out = {}
+    for key in estimator_keys(cfg):
+        grid = key_gammas(cfg, key)
+        key_cells = [key + (g,) for g in grid]
         common = [o for o in outcomes if all(c in o.nmse for c in key_cells)]
-        if not common:
-            out[key] = None
-            continue
-        means = [np.mean([o.nmse[c] for o in common]) for c in key_cells]
-        out[key] = grids[key][int(np.argmin(means))]
+        means = [np.mean([o.nmse[c] for o in common]) for c in key_cells] if common else ()
+        out[key] = grid[0] if len(grid) == 1 else grid[int(np.argmin(means))] if common else None
     return out
+
+
+def tune_gamma(point: TrialPoint) -> dict[tuple[str, str], Optional[float]]:
+    """Pick gamma per estimator key on a disjoint tuning block, by `_pick_gammas`."""
+    indices, cells = _tuning(point.cfg)
+    return _pick_gammas(point.cfg, _map_trials(point, indices, cells) if cells else [])
 
 
 @dataclass
@@ -317,31 +320,32 @@ class ExperimentRow:
 CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
-def run_point(point: TrialPoint, pool: Optional[Executor] = None) -> list[ExperimentRow]:
-    cfg = point.cfg
-    gamma_star = tune_gamma(point, pool)
-    cells = [key + (gamma_star[key],) for key in estimator_keys(cfg)]
-    # an untuned key's cell (gamma None) is not run, so every trial counts as failed
-    tuned = tuple(cell for cell in cells if cell[2] is not None)
-    outcomes = _map_trials(point, range(cfg.trials), tuned, pool)
+def _evaluation(cfg: ExperimentConfig, gamma_star) -> tuple[range, tuple]:
+    """The evaluation indices, and each key's cell at its tuned gamma; an untuned
+    key's cell (gamma None) is not run, so every trial of it counts as failed."""
+    return range(cfg.trials), tuple(key + (g,) for key, g in gamma_star.items() if g is not None)
 
+
+def run_point(point: TrialPoint) -> list[ExperimentRow]:
+    """One point in-process: tune, then run every trial at the tuned gammas."""
+    gamma_star = tune_gamma(point)
+    return _rows(point, gamma_star, _map_trials(point, *_evaluation(point.cfg, gamma_star)))
+
+
+def _rows(point: TrialPoint, gamma_star, outcomes) -> list[ExperimentRow]:
+    """A point's rows, one per estimator key, from its evaluation outcomes."""
+    cfg = point.cfg
     convolution = cfg.model == "convolution"
     rows = []
-    for cell in cells:
-        est, kind, g_star = cell
+    for (est, kind), g_star in gamma_star.items():
+        cell = (est, kind, g_star)
         done = [o for o in outcomes if cell in o.nmse]
         vals = [o.nmse[cell] for o in done]
         covered = [o.coverage.get(kind, True) for o in done]  # no weights, nothing to miss
+        mean = stderr = cov = None
         if vals:
-            mean = float(np.mean(vals))
-            stderr = (
-                float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-                if len(vals) > 1
-                else 0.0
-            )
-            cov = float(np.mean(covered))
-        else:
-            mean = stderr = cov = None
+            mean, cov = float(np.mean(vals)), float(np.mean(covered))
+            stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
         rows.append(
             ExperimentRow(
                 model=cfg.model,
@@ -365,12 +369,33 @@ def run_point(point: TrialPoint, pool: Optional[Executor] = None) -> list[Experi
 
 
 def _sweep(points, threads: int) -> list[ExperimentRow]:
-    """Rows of every point in order, on one process pool (none at threads = 1)."""
+    """Rows of every point in order, from one task queue or in-process; 0 = every usable core."""
     if threads < 0:
-        raise ParameterError("threads", "must be >= 0 (0 = all cores)", threads)
-    workers = threads or os.cpu_count() or 1
-    with nullcontext() if threads == 1 else ProcessPoolExecutor(workers) as pool:
-        return [row for point in points for row in run_point(point, pool)]
+        raise ParameterError("threads", "must be >= 0 (0 = every usable core)", threads)
+    usable = getattr(os, "sched_getaffinity", None)
+    workers = threads or (len(usable(0)) if usable else os.cpu_count() or 1)
+    if workers == 1:
+        return [row for point in points for row in run_point(point)]
+    with ProcessPoolExecutor(workers) as pool:
+        def queue(point, indices, cells):  # at most 2 * workers contiguous blocks
+            size = -(-len(indices) // (2 * workers))
+            return [pool.submit(_map_trials, point, indices[i:i + size], cells)
+                    for i in (range(0, len(indices), size) if cells else ())]
+
+        def outcomes(tasks):
+            return [outcome for task in tasks for outcome in task.result()]
+
+        try:
+            tuning = [queue(point, *_tuning(point.cfg)) for point in points]
+            evaluation = []
+            for point, tasks in zip(points, tuning):
+                gamma_star = _pick_gammas(point.cfg, outcomes(tasks))
+                evaluation.append((gamma_star, queue(point, *_evaluation(point.cfg, gamma_star))))
+            return [row for point, (gamma_star, tasks) in zip(points, evaluation)
+                    for row in _rows(point, gamma_star, outcomes(tasks))]
+        except BaseException:  # fail fast: cancel every queued block, then raise
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def run_mse_vs_m(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:

@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -65,6 +65,20 @@ def bern_point():
 def one_sweep_config(gamma):
     """A stand-in for experiments._solver_config that stops every solve after one sweep."""
     return SolverConfig(gamma, max_iter=1)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """The list of process pools the sweep builds, one entry per pool."""
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(wlasso.experiments, "ProcessPoolExecutor", CountingPool)
+    return built
 
 
 def cells(point, *gammas):
@@ -393,7 +407,7 @@ class TestTuneGamma:
         key = ("lasso_two_step", "constant")
         nmse = {2.1: (1.0, 100.0), 4.0: (2.0, None)}
 
-        def fake_map(point, indices, cells, pool):
+        def fake_map(point, indices, cells):
             return [
                 TrialOutcome({c: nmse[c[2]][j] for c in cells if nmse[c[2]][j] is not None},
                              {}, {})
@@ -535,20 +549,113 @@ class TestSweeps:
         c = rows_to_csv(run_mse_vs_m(cfg, threads=2))
         assert a == b == c
 
-    def test_one_pool_per_sweep(self, monkeypatch):
-        built = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(wlasso.experiments, "ProcessPoolExecutor", CountingPool)
+    def test_one_pool_per_sweep(self, counting_pool):
         cfg = conv_config()
         serial = rows_to_csv(run_mse_vs_m(cfg, threads=1))
-        assert built == []
+        assert counting_pool == []
         assert rows_to_csv(run_mse_vs_m(cfg, threads=2)) == serial
-        assert len(built) == 1
+        assert len(counting_pool) == 1
+
+    def test_threads_zero_counts_usable_cores(self, monkeypatch, counting_pool):
+        # one usable core runs in-process, as at --threads 1, whatever cpu_count says
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = conv_config()
+        assert rows_to_csv(run_mse_vs_m(cfg, threads=0)) == rows_to_csv(run_mse_vs_m(cfg))
+        assert counting_pool == []
+
+    @pytest.mark.parametrize("over", [
+        dict(model="bernoulli", p=40, n=300, q=0.5, m_grid=(), p_grid=(20, 30)),
+        dict(estimators=("ls_oracle",)),  # queues no tuning trial
+    ], ids=["bernoulli_p_sweep", "ls_oracle_only"])
+    def test_pooled_sweep_matches_in_process(self, over):
+        cfg = conv_config(**over)
+        sweep = run_mse_vs_p if cfg.p_grid else run_mse_vs_m
+        assert rows_to_csv(sweep(cfg, threads=2)) == rows_to_csv(sweep(cfg, threads=1))
+
+    def test_pooled_sweep_queues_every_tuning_block_first(self, monkeypatch):
+        # every point's tuning blocks are queued before any outcome is read, and
+        # each phase of a point is at most 2 * workers contiguous blocks in index order
+        events = []
+
+        class Done(Future):
+            def result(self, timeout=None):
+                events.append(("result",))
+                return super().result(timeout)
+
+        class RecordingPool(Executor):
+            def __init__(self, workers):
+                assert workers == 2
+
+            def submit(self, fn, *args):
+                point, indices = args[:2]
+                events.append(("submit", point.m, [int(i) for i in np.atleast_1d(indices)]))
+                future = Done()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(wlasso.experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = conv_config(m_grid=(8, 12, 16), trials=7, tune_trials=5)
+        serial = rows_to_csv(run_mse_vs_m(cfg, threads=1))
+        assert rows_to_csv(run_mse_vs_m(cfg, threads=2)) == serial
+        tuning = [e for e in events if e[0] == "submit" and e[2][0] >= TUNE_INDEX_BASE]
+        evaluation = [e for e in events if e[0] == "submit" and e[2][0] < TUNE_INDEX_BASE]
+        assert events[:len(tuning)] == tuning
+        phases = (
+            (tuning, range(TUNE_INDEX_BASE, TUNE_INDEX_BASE + cfg.tune_trials)),
+            (evaluation, range(cfg.trials)),
+        )
+        for m in cfg.m_grid:
+            for phase, indices in phases:
+                blocks = [e[2] for e in phase if e[1] == m]
+                assert 1 < len(blocks) <= 2 * 2
+                assert sum(blocks, []) == list(indices)
+
+    def test_pooled_sweep_fails_fast(self, monkeypatch, tmp_path):
+        # a trial that raises cancels every queued block: the sweep raises what
+        # it raises at one thread, and most queued trials never start (run to
+        # the end, the other five points' tuning would start 250 of the 300)
+        log = tmp_path / "draws.txt"
+
+        def failing_draw(*args, **kwargs):
+            with open(log, "a") as f:  # forked workers inherit this patch
+                f.write("draw\n")
+            if kwargs["m"] == 8:
+                raise RuntimeError("no draw at m = 8")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(wlasso.experiments, "draw", failing_draw)
+        cfg = conv_config(m_grid=(8, 10, 12, 14, 16, 18), trials=100, tune_trials=50)
+        for threads in (1, 2):
+            log.write_text("")
+            with pytest.raises(RuntimeError) as info:
+                run_mse_vs_m(cfg, threads=threads)
+            assert (type(info.value), str(info.value)) == (RuntimeError, "no draw at m = 8")
+        assert len(log.read_text().splitlines()) < len(cfg.m_grid) * cfg.tune_trials / 2
+
+    def test_serial_sweep_nests_every_trial_in_its_point(self, monkeypatch):
+        # a layer profile reads a point's own time as run_point's minus run_trial's
+        calls, depth = [], [0]  # (name, run_point calls open around it)
+
+        def nested(name):
+            inner = getattr(wlasso.experiments, name)
+
+            def traced(*args, **kwargs):
+                calls.append((name, depth[0]))
+                depth[0] += name == "run_point"
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    depth[0] -= name == "run_point"
+            return traced
+
+        for name in ("run_point", "tune_gamma", "run_trial"):
+            monkeypatch.setattr(wlasso.experiments, name, nested(name))
+        cfg = conv_config()
+        run_mse_vs_m(cfg, threads=1)
+        points = len(cfg.m_grid)
+        assert calls.count(("run_point", 0)) == calls.count(("tune_gamma", 1)) == points
+        assert calls.count(("run_trial", 1)) == points * (cfg.tune_trials + cfg.trials)
+        assert len(calls) == points * (2 + cfg.tune_trials + cfg.trials)
 
     @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
     def test_trial_imports_nothing(self, model):
@@ -571,11 +678,12 @@ class TestSweeps:
         )
         assert out.stdout.strip() == "[]"
 
-    def test_nonconverged_solves_counted_in_csv(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nonconverged_solves_counted_in_csv(self, monkeypatch, threads):
         # no solve converges in one sweep, so no estimator can be tuned either
         monkeypatch.setattr(wlasso.experiments, "_solver_config", one_sweep_config)
         cfg = conv_config(target_l1=100.0)
-        lines = rows_to_csv(run_mse_vs_m(cfg)).splitlines()
+        lines = rows_to_csv(run_mse_vs_m(cfg, threads=threads)).splitlines()
         header = CSV_HEADER.split(",")
         for line in lines[1:]:
             row = dict(zip(header, line.split(",")))
