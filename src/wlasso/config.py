@@ -6,9 +6,9 @@ annotation, and the dump lists the fields in declaration order.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Iterable, get_args, get_origin, get_type_hints
+from typing import Iterable, get_args, get_origin
 
-from .experiments import ExperimentConfig
+from .experiments import CONFIG_TYPES, ExperimentConfig
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -42,7 +42,7 @@ def _split_list(raw: str) -> list[str]:
 
 def coerce_experiment_value(key: str, raw: str):
     """raw as the type of ExperimentConfig's field key; a tuple splits on commas."""
-    kind = get_type_hints(ExperimentConfig).get(key)
+    kind = CONFIG_TYPES.get(key)
     if kind is None:
         raise ValueError(f"unknown config key {key!r}")
     if get_origin(kind) is tuple:

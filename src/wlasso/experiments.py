@@ -2,13 +2,15 @@
 
 Every trial is a pure function of (master_seed, trial_index): one signal
 draw, sensing draw and Poisson draw, weights for the kinds its cells name,
-then each (estimator, weight kind, gamma) cell it is given, each solved from a
-cold start.  Tuning runs each trial of a disjoint block of indices once over
-every tuned key's gamma grid, so evaluation trials never leak into the gamma
-choice; evaluation then runs each trial once with every key at its own tuned
-gamma.  A pooled sweep is one task queue of contiguous blocks of trials:
-every point's tuning blocks at once, then each point's evaluation blocks as
-soon as its tuning returns (none at one thread or one usable core).
+then each (estimator, weight kind, gamma) cell it is given, each solve
+started from the last converged solution in the trial (see `estimates`).
+Tuning runs each trial of a disjoint block of indices once over every tuned
+key's gamma grid, so evaluation trials never leak into the gamma choice; it
+lists each grid in descending gamma, so each is a warm-started path.
+Evaluation then runs each trial once with every key at its own tuned gamma.
+A pooled sweep is one task queue of contiguous blocks of trials: every
+point's tuning blocks at once, then each point's evaluation blocks as soon
+as its tuning returns (none at one thread or one usable core).
 Aggregation folds results in trial-index order, so thread counts and
 completion order cannot change a single output byte.
 
@@ -77,7 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        for name, kind in get_type_hints(ExperimentConfig).items():
+        for name, kind in CONFIG_TYPES.items():
             if get_origin(kind) is tuple:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         for grid, label in ((self.m_grid, "m_grid"), (self.p_grid, "p_grid")):
@@ -137,6 +139,10 @@ class ExperimentConfig:
             raise ValueError(str(exc) if key == exc.name else f"{key}: {exc}") from exc
 
 
+# each setting's type, resolved once: __post_init__ and config parsing both read it
+CONFIG_TYPES = get_type_hints(ExperimentConfig)
+
+
 def m_from_p(p: int, m_coef: float) -> int:
     """Parent-count rule m = round(m_coef * sqrt(p) * log p) for p sweeps."""
     m = m_coef * math.sqrt(p) * math.log(p)
@@ -181,15 +187,26 @@ def estimates(pair, x_star, built, cells) -> Iterator[tuple]:
     A result that did not converge is yielded as it is, with its refit.  Lazy:
     a cell is estimated only when it is asked for, so a caller that stops at
     an error does no further work.
+
+    The solves are chained: each starts from the x_hat of the last solve in
+    this call that converged, whatever its key, and from zero before there is
+    one; a result that did not converge, or a cell that raised, is not passed
+    on.  So a cell's x_hat, iterations, gap and kkt_residual may move at
+    rounding level with the cells before it, but its estimate, the refit of
+    the support it detects, does not.  The chain starts afresh in each call,
+    so the estimates are a pure function of the call's arguments.
     """
     refits: dict = {}
+    x0 = None
     for est, kind, gamma in cells:
         result = None
         try:
             if est != "ls_oracle":
                 if isinstance(built[kind], Exception):
                     raise built[kind]
-                result = weighted_lasso(pair, built[kind], _solver_config(gamma))
+                result = weighted_lasso(pair, built[kind], _solver_config(gamma), x0)
+                if result.converged:
+                    x0 = result.x_hat
             cols = np.flatnonzero(x_star) if result is None else detected_support(result.x_hat)
             if cols.tobytes() not in refits:
                 refits[cols.tobytes()] = oracle_least_squares(pair, cols)
@@ -214,12 +231,14 @@ def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> 
 
     The draw, the surrogate pair, and each kind's weights and coverage do not
     depend on gamma, so each is built once, and only for the kinds the cells
-    name; every cell is solved from a cold start, so its numbers do not depend
-    on the other cells.  The score at the truth is computed once, and every
-    kind's weights come from `weights`, which reads it for the oracle kind;
-    every kind's coverage is judged against it.  So a trial applies the
-    design and its adjoint twice each (the intensity and aty, then that
-    score), whatever its cells.  The estimates come from `estimates`, the
+    name; each solve starts from the last converged solution in the trial
+    (`estimates`), so a cell's x_hat, iterations, gap and kkt_residual may move
+    at rounding level with the cells before it, while its nmse, which goes
+    through the refit of the detected support, does not.  The score at the
+    truth is computed once, and every kind's weights come from `weights`,
+    which reads it for the oracle kind; every kind's coverage is judged
+    against it.  So a trial applies the design and its adjoint twice each
+    (the intensity and aty, then that score), whatever its cells.  The estimates come from `estimates`, the
     estimator rule `wlasso solve` shares; a solve that did not converge fails
     its cell as a NonConvergenceError.  nmse divides by cfg.target_l1, which
     the drawn x* sums to up to rounding (`wlasso solve` divides by ||x*||_1).
@@ -269,10 +288,11 @@ def _map_trials(point, indices, cells) -> list[TrialOutcome]:
 
 
 def _tuning(cfg: ExperimentConfig) -> tuple[range, tuple]:
-    """The tuning block's indices, and every tuned key's cells over its grid;
-    a key with one gamma (see `key_gammas`) needs no tuning, so it has no cell."""
+    """The tuning block's indices, and every tuned key's cells over its grid in
+    descending gamma, a warm-started path in `estimates`; a key with one gamma
+    (see `key_gammas`) needs no tuning, so it has no cell."""
     cells = tuple(key + (g,) for key in estimator_keys(cfg)
-                  if len(key_gammas(cfg, key)) > 1 for g in key_gammas(cfg, key))
+                  if len(key_gammas(cfg, key)) > 1 for g in reversed(key_gammas(cfg, key)))
     return range(TUNE_INDEX_BASE, TUNE_INDEX_BASE + cfg.tune_trials), cells
 
 

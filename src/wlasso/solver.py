@@ -225,15 +225,19 @@ def _descend(op, aty, x, thresholds, tol_coord, config):
     iterations = 0
     while True:
         work = _working_set(x, h, thresholds)
-        # python floats: indexing a numpy array per coordinate costs more than the update
+        # python floats and an inlined soft_threshold: numpy-scalar arithmetic and a
+        # call per coordinate cost more than the update.  hw.item reads one score as
+        # a float; hw is updated in place, so score_of stays bound to the live scores.
         xw, dw, lw = x[work].tolist(), diag[work].tolist(), thresholds[work].tolist()
         hw, rows, indices = h[work], [None] * work.size, work.tolist()
+        score_of = hw.item
         settled = False
         while not settled and iterations < config.max_iter:
             delta_max = 0.0
             for j, k in enumerate(indices):
-                xk = xw[j]
-                xk_new = soft_threshold(hw[j] + dw[j] * xk, lw[j]) / dw[j]
+                xk, t = xw[j], lw[j]
+                z = score_of(j) + dw[j] * xk
+                xk_new = (z - t if z > t else z + t if z < -t else 0.0) / dw[j]
                 delta = xk_new - xk
                 if delta != 0.0:
                     xw[j] = xk_new

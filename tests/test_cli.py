@@ -118,6 +118,21 @@ class TestSolve:
         assert lines[1].startswith("estimator=lasso_two_step weight_kind=constant")
         assert lines[2].startswith("estimator=wlasso_two_step weight_kind=nonconstant")
 
+    def test_later_kind_starts_warm_with_the_same_nmse(self, capsys):
+        # the second kind starts from the first kind's solution: a smaller first
+        # working set, but the refit of the same detected support, so the same nmse
+        fields = {}
+        for order in ("constant,nonconstant", "nonconstant,constant"):
+            argv = ["solve", "--p", "1000", "--m", "40", "--s", "5", "--gamma", "2.1",
+                    "--seed", "7", "--weights", order]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            lines = [dict(part.split("=") for part in line.split()) for line in out.splitlines()]
+            fields[order] = {line["weight_kind"]: line for line in lines}
+        warm, cold = fields["constant,nonconstant"], fields["nonconstant,constant"]
+        assert {k: v["nmse"] for k, v in warm.items()} == {k: v["nmse"] for k, v in cold.items()}
+        assert int(warm["nonconstant"]["working_set"]) < int(cold["nonconstant"]["working_set"])
+
     @pytest.mark.parametrize("weights, kinds", [
         ("constant,constant", ["constant"]),
         ("nonconstant,constant,nonconstant", ["nonconstant", "constant"]),

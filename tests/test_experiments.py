@@ -16,13 +16,15 @@ from wlasso.diagnostics import weights_cover
 from wlasso.errors import SingularDesignError
 from wlasso.model import deviation_at_truth, trial_rng
 from wlasso.sensing import draw, surrogate, weights
-from wlasso.solver import SolverConfig, detected_support
+from wlasso.solver import SolverConfig, detected_support, kkt_check, weighted_lasso
 from wlasso.experiments import (
     CSV_HEADER,
+    ESTIMATOR_OF,
     TUNE_INDEX_BASE,
     ExperimentConfig,
     TrialOutcome,
     TrialPoint,
+    estimates,
     estimator_keys,
     key_gammas,
     m_from_p,
@@ -238,8 +240,8 @@ class TestRunTrial:
         supports, refits = [], []
         solve, refit = wlasso.experiments.weighted_lasso, wlasso.experiments.oracle_least_squares
 
-        def recording_solve(pair, w, config):
-            result = solve(pair, w, config)
+        def recording_solve(pair, w, config, x0=None):
+            result = solve(pair, w, config, x0)
             supports.append(detected_support(result.x_hat, config.support_eps).tobytes())
             return result
 
@@ -374,7 +376,60 @@ class TestRunTrial:
             assert set(both.nmse) | set(both.failures) == set(cells(point, 2.1) + cells(point, 4.0))
 
 
+class TestWarmChain:
+    """estimates starts each solve from the last converged x_hat of its call."""
+
+    @pytest.mark.parametrize("model, p, s, ms", [
+        ("convolution", 1000, 5, (10, 40, 160, 320)),
+        ("convolution", 5000, 50, (10, 40, 160, 320)),
+        ("bernoulli", 200, 5, (None,)),
+    ])
+    def test_detects_the_cold_support(self, model, p, s, ms):
+        # tuning's cells: each kind's grid in descending gamma, the second
+        # kind's first solve warm from the first kind's last
+        grid, kinds = ExperimentConfig().gamma_grid, ("constant", "nonconstant")
+        chained = [(ESTIMATOR_OF[kind], kind, g) for kind in kinds for g in reversed(grid)]
+        for m in ms:
+            for trial in range(2):
+                inst, y, x_star = draw(model, p, s, 100.0, trial_rng(7, trial), m=m, n=2000, q=0.5)
+                pair = surrogate(inst, y)
+                built = {kind: weights(kind, inst, y) for kind in kinds}
+                for (_, kind, gamma), result, _ in estimates(pair, x_star, built, chained):
+                    cold = weighted_lasso(pair, built[kind], SolverConfig(gamma))
+                    assert result.converged and cold.converged
+                    assert np.array_equal(detected_support(result.x_hat),
+                                          detected_support(cold.x_hat))
+                    kkt = kkt_check(pair, built[kind], gamma, result.x_hat)
+                    assert kkt < SolverConfig.tol_kkt
+
+    def test_nonconverged_result_is_never_passed_on(self, monkeypatch):
+        # at 1e6 the constant weights converge at zero in one sweep; at 2.1 and
+        # 4.0 one sweep does not converge, so each later solve starts from the 1e6 x_hat
+        monkeypatch.setattr(wlasso.experiments, "_solver_config", one_sweep_config)
+        solve = wlasso.experiments.weighted_lasso
+        starts, results = [], []
+
+        def recording_solve(pair, w, config, x0=None):
+            starts.append(x0)
+            results.append(solve(pair, w, config, x0))
+            return results[-1]
+
+        monkeypatch.setattr(wlasso.experiments, "weighted_lasso", recording_solve)
+        point = conv_point(conv_config(target_l1=100.0))
+        run_trial(point, 0, (("lasso_two_step", "constant", 1e6),) + cells(point, 2.1, 4.0))
+        assert [r.converged for r in results] == [True, False, False, False, False]
+        assert starts[0] is None
+        assert all(x0 is results[0].x_hat for x0 in starts[1:])
+
+
 class TestTuneGamma:
+    def test_tuning_lists_each_key_in_descending_gamma(self):
+        cfg = conv_config(gamma_grid=(2.1, 3.0, 4.0))
+        _, tuned = wlasso.experiments._tuning(cfg)
+        for key in estimator_keys(cfg):
+            gammas = [cell[2] for cell in tuned if cell[:2] == key]
+            assert gammas == ([] if key[0] == "ls_oracle" else [4.0, 3.0, 2.1])
+
     def test_values_come_from_grid(self):
         cfg = conv_config()
         got = tune_gamma(conv_point(cfg))
@@ -506,9 +561,9 @@ class TestRunPoint:
         solved = []
         solve = wlasso.experiments.weighted_lasso
 
-        def counting_solve(pair, w, config):
+        def counting_solve(pair, w, config, x0=None):
             solved.append(config.gamma)
-            return solve(pair, w, config)
+            return solve(pair, w, config, x0)
 
         monkeypatch.setattr(wlasso.experiments, "weighted_lasso", counting_solve)
         name = "convolution_mse_vs_m_s30.csv"
