@@ -24,6 +24,12 @@ design's own Gram, cached on the instance under the model's size rule, which
 also bounds the n x p draw:
 
   A_tilde^T A_tilde = (C - q S 1^T - q 1 S^T + n q^2 11^T) / (n q (1 - q)).
+
+The product runs in single precision: every entry and every partial sum is a
+whole number of at most n, and the size rule keeps n below 2^24, so float32
+rounds none of them and C keeps every bit of the float64 product.  It casts
+one block of rows at a time, so its temporary is a block of rows, not an
+n x p copy of the design.
 """
 from __future__ import annotations
 
@@ -43,6 +49,8 @@ from .errors import ParameterError, RegimeViolationError
 from .model import Dense, SurrogatePair, check_size, check_vector
 from .solver import WeightVector
 
+_BLOCK_ROWS = 512  # rows cast to float32 at a time by BernoulliInstance.co_occurrence
+
 
 def default_theta(p: int) -> float:
     return 3.0 * math.log(p)
@@ -57,22 +65,39 @@ class BernoulliInstance:
     q: float
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
+        a = np.asarray(self.a)
+        binary = a.dtype == np.bool_  # as the sampler draws it: nothing but 0 and 1
+        self.a = a.astype(np.float64, copy=False)
         if self.a.ndim != 2:
             raise ParameterError("a", "must be a matrix", self.a.shape)
         self.n, self.p = self.a.shape
         check_design(self.n, self.p, self.q)
-        bad = (self.a != 0.0) & (self.a != 1.0)
-        if bad.any():
-            raise ParameterError("a", "must have entries in {0, 1}", self.a[bad][0].item())
+        if not binary:
+            bad = (self.a != 0.0) & (self.a != 1.0)
+            if bad.any():
+                raise ParameterError("a", "must have entries in {0, 1}", self.a[bad][0].item())
         self.a.flags.writeable = False
         self.column_sums = self.a.sum(axis=0)
 
     @cached_property
     def co_occurrence(self) -> np.ndarray:
         """C = a^T a, the design's own Gram, read-only: C[u, k] counts the rows
-        where columns u and k are both 1, so its diagonal holds the column sums."""
-        return Dense(self.a).gram
+        where columns u and k are both 1, so its diagonal holds the column sums.
+
+        Summed in float32, which keeps every bit (see the module docstring),
+        over blocks of _BLOCK_ROWS rows, each cast on its own: besides p x p
+        arrays, the only temporary is one float32 block, never an n x p copy."""
+        check_size("p", self.p, self.p**2)
+        # exact: entries and partial sums are whole numbers <= n, the size rule
+        # keeps n below 2^24, and float32 holds every whole number up to 2^24
+        counts = np.zeros((self.p, self.p), dtype=np.float32)
+        for start in range(0, self.n, _BLOCK_ROWS):
+            block = self.a[start : start + _BLOCK_ROWS].astype(np.float32)
+            counts += block.T @ block
+            del block  # freed before the next cast: one block alive at a time
+        counts = counts.astype(np.float64)
+        counts.flags.writeable = False
+        return counts
 
 
 def check_design(n: int, p: int, q: float) -> None:
@@ -97,7 +122,7 @@ def sample_bernoulli_matrix(
     n: int, p: int, q: float, rng: np.random.Generator
 ) -> BernoulliInstance:
     check_design(n, p, q)
-    return BernoulliInstance((rng.random((n, p)) < q).astype(np.float64), q)
+    return BernoulliInstance(rng.random((n, p)) < q, q)
 
 
 def sensing_operator(inst: BernoulliInstance) -> Dense:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from wlasso.bernoulli import (
+    _BLOCK_ROWS as BLOCK_ROWS,
     BernoulliInstance,
+    check_design,
     constant_weights,
     default_theta,
     l1_norm_estimator,
@@ -57,6 +59,28 @@ class TestSampling:
             BernoulliInstance(np.zeros(3), 0.5)
         with pytest.raises(ValueError, match="0, 1"):
             BernoulliInstance([[1.0, 0.0], [0.5, 1.0]], 0.5)
+        with pytest.raises(ValueError, match="0, 1"):
+            BernoulliInstance([[1.0, 0.0], [2.0, 1.0]], 0.5)
+
+    def test_draw_is_the_rngs_comparison(self):
+        # the sampler hands its boolean draw over as it is; the RNG calls stay
+        for n, p, q in ((2, 2, 0.5), (50, 13, 0.3), (600, 7, 0.998)):
+            got = sample_bernoulli_matrix(n, p, q, trial_rng(n)).a
+            want = (trial_rng(n).random((n, p)) < q).astype(np.float64)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_boolean_design_builds_as_its_float_copy(self):
+        mask = trial_rng(12).random((300, 20)) < 0.4
+        y = np.arange(300.0) % 7
+        from_bool = BernoulliInstance(mask, 0.4)
+        from_float = BernoulliInstance(mask.astype(np.float64), 0.4)
+        assert from_bool.a.dtype == np.float64 and not from_bool.a.flags.writeable
+        for name in ("a", "column_sums", "co_occurrence"):
+            assert np.array_equal(getattr(from_bool, name), getattr(from_float, name))
+        assert max_pair_weight(from_bool) == max_pair_weight(from_float)
+        for build in (constant_weights, nonconstant_weights):
+            assert np.array_equal(build(from_bool, y).values, build(from_float, y).values)
 
     def test_one_column_is_rejected_as_p(self):
         # the default theta 3 log p is 0 at p = 1
@@ -366,6 +390,32 @@ class TestColumnStatistics:
         max_pair_weight(inst)
         surrogate_bernoulli(inst, y).a_tilde.gram
         assert inst.co_occurrence is counts
+
+    @pytest.mark.parametrize("q", [0.002, 0.5, 0.998])
+    @pytest.mark.parametrize("p", [2, 7, 200])
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2000])
+    def test_single_precision_counts_equal_float64_product(self, n, p, q):
+        inst = sample_bernoulli_matrix(n, p, q, trial_rng(n, p))
+        assert np.array_equal(inst.co_occurrence, inst.a.T @ inst.a)
+        # the largest count, n, in every entry: all-ones columns, which q = 0.998
+        # draws at some sizes and not at others
+        ones = BernoulliInstance(np.ones((n, p), dtype=bool), q)
+        assert np.array_equal(ones.co_occurrence, ones.a.T @ ones.a)
+        assert np.all(ones.co_occurrence == n)
+
+    def test_size_rule_keeps_counts_exact_in_float32(self):
+        # a float32 sum of whole numbers is exact while it stays below 2^24;
+        # the largest count is n, and the widest n the size rule admits is at p = 2
+        widest_n = wlasso.model.BYTE_BUDGET // 16
+        check_design(widest_n, 2, 0.5)
+        with pytest.raises(ParameterError):
+            check_design(widest_n + 1, 2, 0.5)
+        assert widest_n < 2**24
+
+    def test_counts_make_no_design_copy(self):
+        # one block of rows is cast to float32 at a time, never the n x p design
+        inst, _, _ = draw_instance(6, n=2000, p=200, q=0.5)
+        assert peak_bytes(lambda: inst.co_occurrence) < inst.n * inst.p * 8 / 4
 
     def test_wide_design_builds_without_its_gram(self, monkeypatch):
         inst, _, y = draw_instance(5, n=400, p=30)

@@ -519,6 +519,22 @@ class TestWeights:
         assert index == "0"
         assert float(value) > 0
 
+    @pytest.mark.parametrize("kind", ["constant", "nonconstant"])
+    def test_boolean_design_file_reads_as_its_float_copy(self, kind, tmp_path, capsys):
+        outputs = []
+        for dtype in (bool, np.float64):
+            path = tmp_path / f"bern_{np.dtype(dtype).name}.npz"
+            rng = trial_rng(4)
+            a = rng.random((300, 20)) < 0.5
+            y = sample_poisson(6.0 * a[:, 3], rng).counts.astype(np.float64)
+            np.savez(path, a=a.astype(dtype), q=np.float64(0.5), y=y)
+            argv = ["weights", "--model", "bernoulli", "--instance", str(path), "--kind", kind]
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 21
+
     def test_oracle_kind_needs_truth(self, tmp_path, capsys):
         path = tmp_path / "no_truth.npz"
         write_convolution_npz(path, with_x_star=False)
