@@ -24,7 +24,6 @@ from .solver import (
     SolverConfig,
     WeightVector,
     kkt_check,
-    objective,
     oracle_least_squares,
     two_step,
     weighted_lasso,
@@ -47,7 +46,6 @@ __all__ = [
     "kkt_check",
     "make_sparse_signal",
     "model",
-    "objective",
     "oracle_least_squares",
     "sample_poisson",
     "sensing",

@@ -5,6 +5,10 @@ from one seed (flag > config file > WLASSO_SEED env var > 0), which must be
 >= 0; reruns with the same inputs produce byte-identical outputs.  No
 subcommand mutates its inputs.  An --instance file's arrays become an
 instance in sensing.from_arrays, so the command line knows no sensing model.
+The score at the truth comes off the surrogate pair's Gram rows
+(SurrogatePair.score), once per command and only where it is read: so
+solve, weights and diagnose apply the design once, for the Poisson
+intensity, and its adjoint at most once, for the pair's aty.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from .concentration import check_theta, tail_coverage_test
 from .diagnostics import assumption_report
 from .errors import ParameterError, WeightKindError
 from .experiments import ESTIMATOR_OF, estimates, run_mse_vs_m, run_mse_vs_p, rows_to_csv
-from .model import check_seed, check_size, deviation_at_truth, trial_rng
+from .model import check_seed, check_size, trial_rng
 from .sensing import (
     MODELS,
     WEIGHT_KINDS,
@@ -122,12 +126,6 @@ def _instance_from_args(args) -> Draw:
     )
 
 
-def _pair_and_score(inst, y, x_star):
-    """The surrogate pair and the score at the truth (None without x*), once per command."""
-    pair = surrogate(inst, y)
-    return pair, None if x_star is None else deviation_at_truth(pair, x_star)
-
-
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w") as handle:
@@ -152,7 +150,8 @@ def _cmd_solve(args) -> int:
     for kind in kinds:
         check_weight_kind(kind, x_star)
     check_gamma(args.gamma)  # a usage error before any work
-    pair, deviation = _pair_and_score(inst, y, x_star)
+    pair = surrogate(inst, y)
+    deviation = None if x_star is None else pair.score(x_star)
     built = {kind: weights(kind, inst, y, deviation, args.theta, args.c) for kind in kinds}
     cells = [("ls_oracle", "none", 0.0)] if x_star is not None and x_star.any() else []
     cells += [(ESTIMATOR_OF[kind], kind, args.gamma) for kind in kinds]
@@ -178,7 +177,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_weights(args) -> int:
     inst, y, x_star = _instance_from_args(args)
-    _, deviation = _pair_and_score(inst, y, x_star)
+    check_weight_kind(args.kind, x_star)
+    # only the oracle kind reads the pair, through its score at the truth
+    deviation = surrogate(inst, y).score(x_star) if args.kind == "oracle" else None
     w = weights(args.kind, inst, y, deviation, args.theta, args.c)
     lines = ["index,weight"]
     lines.extend(f"{k},{_fmt(v)}" for k, v in enumerate(w.values))
@@ -192,7 +193,8 @@ def _cmd_diagnose(args) -> int:
         raise _UsageError("diagnose needs x_star (generated instances have it)")
     if args.rip_s is not None and not 1 <= args.rip_s <= inst.p:
         raise ParameterError("rip_s", f"must lie in [1, p = {inst.p}]", args.rip_s)
-    pair, deviation = _pair_and_score(inst, y, x_star)
+    pair = surrogate(inst, y)
+    deviation = pair.score(x_star)
     w = weights(args.kind, inst, y, deviation, args.theta, args.c)
     theta = default_theta(inst) if args.theta is None else args.theta
     report = assumption_report(pair, np.flatnonzero(x_star), deviation, w, gamma=args.gamma,

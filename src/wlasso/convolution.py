@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +37,6 @@ class ConvolutionInstance:
     """A convolution draw is its parent counts N(u): p is their length, m their sum."""
 
     counts: np.ndarray
-    parents: Optional[np.ndarray] = None
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -63,8 +61,7 @@ def check_parents(p: int, m: int) -> None:
 
 def sample_parents(p: int, m: int, rng: np.random.Generator) -> ConvolutionInstance:
     check_parents(p, m)
-    parents = rng.integers(0, p, size=m)
-    return ConvolutionInstance(np.bincount(parents, minlength=p), parents)
+    return ConvolutionInstance(np.bincount(rng.integers(0, p, size=m), minlength=p))
 
 
 def sensing_operator(inst: ConvolutionInstance) -> Circulant:

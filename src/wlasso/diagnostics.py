@@ -77,7 +77,7 @@ class CoverReport:
 def weights_cover(deviation: np.ndarray, weights: WeightVector) -> CoverReport:
     """Do the weights dominate the score at the truth, coordinatewise?
 
-    deviation is that score, deviation_at_truth(pair, x_star): a trial computes
+    deviation is that score, pair.score(x_star): a trial computes
     it once and judges each of its weight kinds against it.
     """
     margins = weights.values - np.abs(deviation)
@@ -204,7 +204,7 @@ def assumption_report(
     theta_used: float,
     rip_s: Optional[int] = None,
 ) -> AssumptionReport:
-    """The report at the truth x*, given by its support and its score deviation_at_truth."""
+    """The report at the truth x*, given by its support and its score pair.score(x_star)."""
     check_gamma(gamma)
     xi = gram_deviation(pair.a_tilde)
     support = np.asarray(support, dtype=np.int64)

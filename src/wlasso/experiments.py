@@ -30,7 +30,7 @@ from typing import Iterator, Optional, get_origin, get_type_hints
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
-from .model import check_seed, check_size, deviation_at_truth, trial_rng
+from .model import check_seed, check_size, trial_rng
 from .sensing import MODELS, WEIGHT_KINDS, check_params, draw, surrogate, weights
 from .solver import (
     SolverConfig, check_gamma, detected_support, weighted_lasso, oracle_least_squares,
@@ -235,11 +235,12 @@ def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> 
     (`estimates`), so a cell's x_hat, iterations, gap and kkt_residual may move
     at rounding level with the cells before it, while its nmse, which goes
     through the refit of the detected support, does not.  The score at the
-    truth is computed once, and every kind's weights come from `weights`,
-    which reads it for the oracle kind; every kind's coverage is judged
-    against it.  So a trial applies the design and its adjoint twice each
-    (the intensity and aty, then that score), whatever its cells.  The estimates come from `estimates`, the
-    estimator rule `wlasso solve` shares; a solve that did not converge fails
+    truth is read once off the pair's Gram rows (`SurrogatePair.score`), and
+    every kind's weights come from `weights`, which reads it for the oracle
+    kind; every kind's coverage is judged against it.  So a trial applies the
+    design once, for the intensity, and its adjoint once, for aty, whatever
+    its cells.  The estimates come from `estimates`, the estimator rule
+    `wlasso solve` shares; a solve that did not converge fails
     its cell as a NonConvergenceError.  nmse divides by cfg.target_l1, which
     the drawn x* sums to up to rounding (`wlasso solve` divides by ||x*||_1).
     """
@@ -253,7 +254,7 @@ def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> 
 
     built: dict = {}
     coverage: dict = {}
-    deviation = deviation_at_truth(pair, x_star)
+    deviation = pair.score(x_star)
     for kind in dict.fromkeys(kind for _, kind, _ in cells if kind != "none"):
         try:
             built[kind] = weights(kind, inst, y, deviation, c=cfg.weight_c)

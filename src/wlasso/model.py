@@ -17,9 +17,13 @@ n x p Bernoulli draw, a dense Gram): check_size refuses, naming the parameter,
 any over BYTE_BUDGET bytes before it is allocated.
 
 A SurrogatePair holds its observations read-only and caches the score at zero,
-aty = A^T y, and yty = y^T y, so the solver's every score, aty - A^T A x, comes
-from Gram rows, its residual norm from those two numbers and the score, and its
-least-squares refit on a support from the Gram block of that support.
+aty = A^T y, and yty = y^T y.  Its score(x) = A^T (y - A x) is aty - x[S] @
+gram[S] over the support S of x: every score, the solver's and the one at the
+truth x* that the weights must dominate, comes from Gram rows, the solver's
+residual norm from those two numbers and the score, and its least-squares
+refit on a support from the Gram block of that support.  So the design itself
+is applied only where a product is the definition: the exact Poisson
+intensity, aty, and solver.kkt_check's independent residual route.
 
 Every circulant product goes through cyclic_convolve (cyclic_correlate reverses
 one operand and calls it).  The DFT diagonalises a circulant matrix, so a dense
@@ -351,12 +355,14 @@ class SurrogatePair:
         """y_tilde . y_tilde: with aty and the Gram, a solve's residual norm needs no product."""
         return float(self.y_tilde @ self.y_tilde)
 
-
-def deviation_at_truth(pair: SurrogatePair, x_star: np.ndarray) -> np.ndarray:
-    """Correlation of the surrogate residual at the truth with each column.
-
-    This is the vector whose entrywise domination by the weights is the
-    coverage assumption behind every estimation guarantee.
-    """
-    residual = pair.y_tilde - apply(pair.a_tilde, x_star)
-    return apply_adjoint(pair.a_tilde, residual)
+    def score(self, x: np.ndarray) -> np.ndarray:
+        """A_tilde^T (y_tilde - A_tilde x) as aty - x[S] @ gram[S] over the support S
+        of x; a copy of aty at x = 0.  At the truth x* it is the vector the weights
+        must dominate coordinatewise, the coverage assumption behind every guarantee."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.a_tilde.n_cols,):
+            raise ValueError("x has wrong length")
+        support = np.flatnonzero(x)
+        if not support.size:
+            return self.aty.copy()
+        return self.aty - x[support] @ self.a_tilde.gram[support]

@@ -6,8 +6,8 @@ draw instances or read them from arrays (`from_arrays`, the CLI's instance
 files), build surrogate pairs and weights, and look up theta here.
 `weights` builds every kind of WEIGHT_KINDS, which is written here: the
 solver sees weight values, never a kind.  The oracle kind reads the score at
-the truth, deviation_at_truth(pair, x_star), which its caller computes once per
-instance.  A Draw's truth is x_star alone: its support is np.flatnonzero(x_star).
+the truth, pair.score(x_star), which its caller computes once per instance.
+A Draw's truth is x_star alone: its support is np.flatnonzero(x_star).
 Model functions are looked up on their modules at call time, never captured.
 """
 from __future__ import annotations
@@ -20,7 +20,8 @@ from . import bernoulli as _bernoulli
 from . import convolution as _convolution
 from .errors import ParameterError, WeightKindError
 from .model import (
-    SurrogatePair, apply, check_signal, check_vector, make_sparse_signal, sample_poisson,
+    SurrogatePair, apply, check_signal, check_size, check_vector, make_sparse_signal,
+    sample_poisson,
 )
 from .solver import WeightVector
 
@@ -81,15 +82,18 @@ def from_arrays(arrays: Mapping[str, np.ndarray], q: float) -> Draw:
 def check_params(
     model: str, p: int, s: int, target_l1: float, *, m: int, n: int, q: float, c: float,
 ) -> None:
-    """Raise a ParameterError if draw, or the weights at c, would raise one; draws nothing.
+    """Raise a ParameterError if draw, the weights at c, or the pair's Gram that a
+    trial's score and solves read would raise one; draws nothing.
 
-    The design is checked first, so a p too small is named p, not s.
+    The design is checked first, so a p too small is named p, not s.  A
+    circulant Gram is a view of one vector, so only a dense one is checked.
     """
     if model == "convolution":
         _convolution.check_parents(p, m)
     else:
         _bernoulli.check_design(n, p, q)
         _bernoulli.check_c(c)
+        check_size("p", p, p * p)  # Dense.gram
     check_signal(p, s, target_l1)
 
 
@@ -104,7 +108,7 @@ def default_theta(inst) -> float:
 
 
 def oracle_weights(deviation: np.ndarray, floor: float = 1e-12) -> WeightVector:
-    """|score at the truth|, floored; deviation is deviation_at_truth(pair, x_star)."""
+    """|score at the truth|, floored; deviation is pair.score(x_star)."""
     return WeightVector(np.maximum(np.abs(deviation), floor))
 
 

@@ -8,12 +8,12 @@ whose score breaks their threshold (strong rules, Tibshirani et al. 2012;
 Celer, Massias et al. 2018), and tracks the set's scores A^T (y - A x)
 through Gram rows gathered onto W, O(|W|) per coordinate update.  Every
 drift-free score is aty - x[S] @ gram[S], from the pair's cached aty = A^T y
-and the Gram rows of the support S, and certifies all p coordinates in one
-vectorised KKT check before the loop stops.  The objective and the duality
-gap come from that score too, with the pair's cached yty = y^T y, so a solve
-applies neither the design nor its adjoint.  objective() and kkt_check take
-the residual route through the design instead, as checks independent of the
-solver.  The least-squares refit reads only gram and aty.
+and the Gram rows of the support S (SurrogatePair.score), and certifies all
+p coordinates in one vectorised KKT check before the loop stops.  The
+objective and the duality gap come from that score too, with the pair's
+cached yty = y^T y, so a solve applies neither the design nor its adjoint.
+kkt_check takes the residual route through the design instead, as a check
+independent of the solver.  The least-squares refit reads only gram and aty.
 """
 from __future__ import annotations
 
@@ -113,14 +113,6 @@ def soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
-def objective(
-    pair: SurrogatePair, weights: WeightVector, gamma: float, x: np.ndarray
-) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    residual = pair.y_tilde - apply(pair.a_tilde, x)
-    return float(residual @ residual + gamma * np.abs(x) @ weights.values)
-
-
 def _objective_and_gap(pair, weights, gamma, x, score, thresholds) -> tuple[float, float]:
     """The objective and duality gap at x, from its score h = A^T r alone.
 
@@ -175,8 +167,7 @@ def weighted_lasso(
     The objective and the duality gap are read off that drift-free score and
     the pair's cached aty and yty, so the solve applies no design product.
     """
-    op = pair.a_tilde
-    p = op.n_cols
+    p = pair.a_tilde.n_cols
     if weights.values.size != p:
         raise ValueError("weights length must match operator columns")
     if x0 is None:
@@ -190,7 +181,7 @@ def weighted_lasso(
     tol_coord = 1e-9 * (1.0 + float(np.abs(pair.y_tilde).max(initial=0.0)))
 
     iterations, converged, working_set, score, kkt = _descend(
-        op, pair.aty, x, thresholds, tol_coord, config
+        pair, x, thresholds, tol_coord, config
     )
     primal, gap = _objective_and_gap(pair, weights, config.gamma, x, score, thresholds)
     return SolveResult(
@@ -204,7 +195,7 @@ def weighted_lasso(
     )
 
 
-def _descend(op, aty, x, thresholds, tol_coord, config):
+def _descend(pair, x, thresholds, tol_coord, config):
     """CD sweeps over a working set, tracking the score h = A^T (y - A x).
 
     The set W is the support plus the coordinates whose fresh score breaks
@@ -216,12 +207,12 @@ def _descend(op, aty, x, thresholds, tol_coord, config):
     that score.  Returns the sweeps, whether it converged, the set size, and
     the drift-free score at the final x with its KKT residual.
     """
-    gram = op.gram
+    gram = pair.a_tilde.gram
     diag = gram.diagonal()
     degenerate = np.flatnonzero(diag <= 0.0)
     if degenerate.size:
         raise DegenerateColumnError(int(degenerate[0]))
-    h = _gram_score(aty, gram, x)
+    h = pair.score(x)
     iterations = 0
     while True:
         work = _working_set(x, h, thresholds)
@@ -251,18 +242,10 @@ def _descend(op, aty, x, thresholds, tol_coord, config):
             settled = bool(delta_max < tol_coord)
         x[work] = xw
         # judge convergence on a drift-free score over all p, and keep it
-        h = _gram_score(aty, gram, x)
+        h = pair.score(x)
         kkt = _kkt_from_score(h, x, thresholds)
         if not settled or kkt < config.tol_kkt:
             return iterations, settled, work.size, h, kkt
-
-
-def _gram_score(aty, gram, x) -> np.ndarray:
-    """A^T (y - A x) as aty - x[S] @ gram[S] over the support S; a copy of aty at 0."""
-    support = np.flatnonzero(x)
-    if not support.size:
-        return aty.copy()
-    return aty - x[support] @ gram[support]
 
 
 def _working_set(x, score, thresholds) -> np.ndarray:

@@ -16,7 +16,6 @@ from wlasso.model import Circulant, Dense, apply, cyclic_correlate
 from wlasso.sensing import surrogate
 from wlasso.solver import (
     SolveResult,
-    _gram_score,
     _kkt_from_score,
     soft_threshold,
     weighted_lasso,
@@ -110,7 +109,7 @@ def residual_objective_and_gap(pair, weights, gamma, x) -> tuple[float, float]:
     residual r = y - A x: the gap is the objective minus 2 s r.y - s^2 r.r."""
     residual = pair.y_tilde - apply(pair.a_tilde, x)
     primal = float(residual @ residual + gamma * np.abs(x) @ weights.values)
-    score = _gram_score(pair.aty, pair.a_tilde.gram, x)
+    score = pair.score(x)
     scale = 1.0 / max(1.0, float(np.max(np.abs(score) / (gamma * weights.values / 2.0))))
     rr = float(residual @ residual)
     return primal, primal - (2.0 * scale * float(residual @ pair.y_tilde) - scale * scale * rr)
@@ -132,23 +131,23 @@ def full_row_lasso(pair, weights, config, x0=None) -> SolveResult:
     update goes to all p scores through a full Gram row, and the KKT residual
     is recomputed from the returned score."""
 
-    def descend(op, aty, x, thresholds, tol_coord, config):
-        *swept, score = _full_row_descend(op, aty, x, thresholds, tol_coord, config)
+    def descend(pair, x, thresholds, tol_coord, config):
+        *swept, score = _full_row_descend(pair, x, thresholds, tol_coord, config)
         return *swept, score, _kkt_from_score(score, x, thresholds)
 
     with patch.object(wlasso.solver, "_descend", descend):
         return weighted_lasso(pair, weights, config, x0)
 
 
-def _full_row_descend(op, aty, x, thresholds, tol_coord, config):
+def _full_row_descend(pair, x, thresholds, tol_coord, config):
     """solver._descend as it stood, returning no KKT residual."""
-    gram = op.gram
+    gram = pair.a_tilde.gram
     diag = gram.diagonal()
     degenerate = np.flatnonzero(diag <= 0.0)
     if degenerate.size:
         raise DegenerateColumnError(int(degenerate[0]))
     diag, limits = diag.tolist(), thresholds.tolist()
-    h = _gram_score(aty, gram, x)
+    h = pair.score(x)
     work = _full_row_working_set(x, h, thresholds)
 
     iterations = 0
@@ -167,11 +166,11 @@ def _full_row_descend(op, aty, x, thresholds, tol_coord, config):
                     delta_max = delta
         iterations += 1
         if delta_max < tol_coord:
-            h = _gram_score(aty, gram, x)
+            h = pair.score(x)
             if _kkt_from_score(h, x, thresholds) < config.tol_kkt:
                 return iterations, True, len(work), h
             work = _full_row_working_set(x, h, thresholds)
-    return iterations, False, len(work), _gram_score(aty, gram, x)
+    return iterations, False, len(work), pair.score(x)
 
 
 def _full_row_working_set(x, score, thresholds) -> list:

@@ -25,7 +25,6 @@ from wlasso.model import (
     Dense,
     SurrogatePair,
     apply,
-    deviation_at_truth,
     make_sparse_signal,
     sample_poisson,
     trial_rng,
@@ -155,7 +154,7 @@ def test_criterion_4_weight_coverage():
         x = sig.dense()
         inst = bn.sample_bernoulli_matrix(5000, 100, 0.5, rng)
         y = sample_poisson(inst.a @ x, rng).counts.astype(np.float64)
-        dev = np.abs(deviation_at_truth(bn.surrogate_bernoulli(inst, y), x))
+        dev = np.abs(bn.surrogate_bernoulli(inst, y).score(x))
         b_const += int(np.all(bn.constant_weights(inst, y).values >= dev))
         b_non += int(np.all(bn.nonconstant_weights(inst, y).values >= dev))
     counts["bernoulli constant"] = b_const
@@ -169,7 +168,7 @@ def test_criterion_4_weight_coverage():
         y = sample_poisson(
             apply(cv.sensing_operator(inst), x), rng
         ).counts.astype(np.float64)
-        dev = np.abs(deviation_at_truth(cv.surrogate_convolution(inst, y), x))
+        dev = np.abs(cv.surrogate_convolution(inst, y).score(x))
         c_const += int(np.all(cv.constant_weights(inst, y).values >= dev))
         c_non += int(np.all(cv.nonconstant_weights(inst, y).values >= dev))
     counts["convolution constant"] = c_const
@@ -270,7 +269,7 @@ def test_criterion_7_conditional_recovery():
         w = cv.constant_weights(inst, y)
         xi = gram_deviation(pair.a_tilde)
         delta, valid = re_constant_from_xi(xi, len(sig.support), c0)
-        if not (weights_cover(deviation_at_truth(pair, x), w).passed and valid and delta < 1.0):
+        if not (weights_cover(pair.score(x), w).passed and valid and delta < 1.0):
             continue
         cond, _, _ = support_condition_check(xi, gamma, delta, w, sig.support)
         if not cond:

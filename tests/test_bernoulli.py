@@ -27,7 +27,7 @@ import wlasso.model
 from wlasso.errors import (
     ParameterError, RegimeViolationError,
 )
-from wlasso.model import deviation_at_truth, make_sparse_signal, sample_poisson, trial_rng
+from wlasso.model import make_sparse_signal, sample_poisson, trial_rng
 
 from reference import dense_matrix, peak_bytes
 
@@ -137,16 +137,21 @@ class TestSurrogate:
             pair.a_tilde.dense[0, 0] = 0.5
 
     def test_makes_no_design_copy(self):
-        # the pair, its aty and the score at the truth stay far below one n x p float array
+        # the pair and its aty, then the score at the truth off the built Gram,
+        # each stay far below one n x p float array
         inst, sig, y = draw_instance(6, n=2000, p=200, q=0.5)
         inst.co_occurrence  # drawn once per instance, before the pair
+        pair = None
 
         def build():
+            nonlocal pair
             pair = surrogate_bernoulli(inst, y)
             pair.aty
-            deviation_at_truth(pair, sig.dense())
 
         assert peak_bytes(build) < inst.n * inst.p * 8 / 10
+        pair.a_tilde.gram
+        x_star = sig.dense()
+        assert peak_bytes(lambda: pair.score(x_star)) < inst.n * inst.p * 8 / 10
 
     def test_observations_sum_to_zero(self):
         inst, _, y = draw_instance(3)
@@ -165,7 +170,7 @@ class TestSurrogate:
         inst, sig, y = draw_instance(5, n=200, p=15, q=0.35)
         x_star = sig.dense()
         pair = surrogate_bernoulli(inst, y)
-        got = deviation_at_truth(pair, x_star)
+        got = pair.score(x_star)
 
         n, q = inst.n, inst.q
         b_mat = inst.a - q
@@ -323,7 +328,7 @@ class TestWeights:
         for seed in range(25):
             inst, sig, y = draw_instance(seed + 500, n=2000, p=40, q=0.5, s=3, l1=15.0)
             pair = surrogate_bernoulli(inst, y)
-            dev = np.abs(deviation_at_truth(pair, sig.dense()))
+            dev = np.abs(pair.score(sig.dense()))
             if np.all(nonconstant_weights(inst, y).values >= dev):
                 covered += 1
         assert covered >= 23

@@ -316,7 +316,7 @@ def test_weights_of_every_kind_come_from_sensing():
     # truth that its caller computes once: neither sensing nor diagnostics
     # computes that score, and run_trial holds no oracle branch of its own
     for module in (wlasso.sensing, wlasso.diagnostics):
-        assert "deviation_at_truth" not in _names(_tree(module))
+        assert "score" not in _names(_tree(module))
     tree = _tree(wlasso.experiments)
     assert "oracle_weights" not in _names(tree)
     table = next(n for n in tree.body if isinstance(n, ast.Assign) and any(
@@ -346,26 +346,26 @@ def test_one_size_rule():
 
 
 class TestProducts:
-    """An instance command computes the score at the truth once, and only a
-    solve reads aty, so no command applies the design or its adjoint more
-    than twice."""
+    """An instance command applies the design once, for the intensity, and its
+    adjoint at most once, for aty: the score at the truth and every solve
+    read Gram rows."""
 
-    def test_diagnose_oracle_applies_twice_and_adjoint_once(self, monkeypatch, capsys):
-        # the intensity, then the score at the truth
+    def test_diagnose_oracle_applies_once_and_adjoint_once(self, monkeypatch, capsys):
+        # the intensity, then aty, which the score at the truth reads
         calls = count_products(monkeypatch)
         code, _, err = run_cli(["diagnose", "--kind", "oracle", "--seed", "1"], capsys)
         assert code == 0, err
-        assert calls == {"apply": 2, "adjoint": 1}
+        assert calls == {"apply": 1, "adjoint": 1}
 
     @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
     @pytest.mark.parametrize("command", ["solve", "weights", "diagnose"])
     @pytest.mark.parametrize("kind", ["constant", "nonconstant", "oracle"])
-    def test_at_most_two_products_each(self, command, kind, model, monkeypatch, capsys):
+    def test_at_most_one_product_each(self, command, kind, model, monkeypatch, capsys):
         flag = "--weights" if command == "solve" else "--kind"
         calls = count_products(monkeypatch)
         code, _, err = run_cli([command, flag, kind, *MODEL_ARGS[model]], capsys)
         assert code == 0, err
-        assert calls["apply"] <= 2 and calls["adjoint"] <= 2, calls
+        assert calls["apply"] <= 1 and calls["adjoint"] <= 1, calls
 
 
 class TestInstanceValidation:
@@ -534,6 +534,24 @@ class TestWeights:
             outputs.append(out)
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 21
+
+    WIDE = ["weights", "--model", "bernoulli", "--p", "400", "--n", "200", "--s", "3",
+            "--l1", "30", "--seed", "1"]
+
+    def test_wide_design_weighs_without_its_gram(self, monkeypatch, capsys):
+        # only the oracle kind reads the pair, whose score at the truth needs
+        # the p x p Gram; the size rule lets the 200 x 400 draw through, not it
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 200 * 400)
+        code, out, err = run_cli(self.WIDE + ["--kind", "nonconstant"], capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 401
+
+    def test_wide_design_oracle_names_p(self, monkeypatch, capsys):
+        # as solve and diagnose do on a design whose Gram is over the size rule
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 200 * 400)
+        code, out, err = run_cli(self.WIDE + ["--kind", "oracle"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --p ") and err.endswith(", got 400\n")
 
     def test_oracle_kind_needs_truth(self, tmp_path, capsys):
         path = tmp_path / "no_truth.npz"
@@ -756,6 +774,18 @@ class TestExperiment:
         assert code == 1, err
         assert out == ""
         assert err.startswith((f"error: {key} ", f"error: {key}: ")), err
+
+    def test_bernoulli_gram_over_budget_names_p_grid(self, monkeypatch, tmp_path, capsys):
+        # a trial's score at the truth and its solves read the p x p Gram, which
+        # the size rule refuses while it lets the 200 x 300 draw through: the
+        # key is named before any trial runs, not failed in every trial
+        monkeypatch.setattr(wlasso.model, "BYTE_BUDGET", 8 * 200 * 300)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(BERNOULLI_CFG)
+        argv = ["experiment", "--config", str(cfg), "--set", "p_grid=300", "--threads", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: p_grid: p ") and err.endswith(", got 300\n"), err
 
     @pytest.mark.parametrize("argv", [
         ["solve"],

@@ -30,7 +30,6 @@ from wlasso.model import (
     Dense,
     SurrogatePair,
     apply,
-    deviation_at_truth,
     trial_rng,
 )
 from wlasso.sensing import draw, oracle_weights, surrogate, weights
@@ -190,7 +189,7 @@ class TestWeightsCover:
         pair = surrogate_convolution(inst, y)
         x_star = np.zeros(30)
         x_star[[2, 9]] = [5.0, 7.0]
-        deviation = deviation_at_truth(pair, x_star)
+        deviation = pair.score(x_star)
         rep = weights_cover(deviation, oracle_weights(deviation))
         assert rep.passed
         assert rep.margin >= 0.0
@@ -201,14 +200,14 @@ class TestWeightsCover:
         x_star[[1, 4]] = [2.0, 3.0]
         op = Circulant(inst.counts.astype(float))
         pair = surrogate_convolution(inst, apply(op, x_star))
-        rep = weights_cover(deviation_at_truth(pair, x_star), WeightVector.constant(30, 0.5))
+        rep = weights_cover(pair.score(x_star), WeightVector.constant(30, 0.5))
         assert rep.passed
         assert rep.margin == pytest.approx(0.5, abs=1e-8)
 
     def test_reports_worst_coordinate(self):
         pair = SurrogatePair(identity_op(4), np.array([0.0, 0.0, 3.0, 0.0]))
         w = WeightVector.constant(4, 1.0)
-        rep = weights_cover(deviation_at_truth(pair, np.zeros(4)), w)
+        rep = weights_cover(pair.score(np.zeros(4)), w)
         assert not rep.passed
         assert rep.worst_index == 2
         assert rep.margin == pytest.approx(-2.0)
@@ -281,11 +280,13 @@ class TestUstat:
     def test_pair_statistic_from_parents(self):
         inst = sample_parents(16, 7, trial_rng(11))
         p, m = inst.p, inst.m
+        parents = trial_rng(11).integers(0, p, size=m)  # the positions, from the same stream
+        assert np.array_equal(np.bincount(parents, minlength=p), inst.counts)
         u_brute = np.zeros(p)
         for i in range(m):
             for j in range(m):
                 if i != j:
-                    u_brute[(inst.parents[j] - inst.parents[i]) % p] += 1
+                    u_brute[(parents[j] - parents[i]) % p] += 1
         u_brute -= m * (m - 1) / p
         counts = inst.counts.astype(float)
         corr = np.array(
@@ -340,7 +341,7 @@ class TestAssumptionReport:
         op = Circulant(inst.counts.astype(float))
         y = rng.poisson(apply(op, x_star)).astype(float)
         pair = surrogate_convolution(inst, y)
-        deviation = deviation_at_truth(pair, x_star)
+        deviation = pair.score(x_star)
         w = oracle_weights(deviation)
         return assumption_report(
             pair, np.flatnonzero(x_star), deviation, w, gamma, theta_used=5.0, rip_s=2
@@ -360,7 +361,7 @@ class TestAssumptionReport:
         support = np.flatnonzero(x_star)
         pair = surrogate(inst, y)
         w = weights("constant", inst, y)
-        rep = assumption_report(pair, support, deviation_at_truth(pair, x_star), w, 6.0,
+        rep = assumption_report(pair, support, pair.score(x_star), w, 6.0,
                                 theta_used=1.0)
         want = re_constant_from_xi(rep.gram_dev, 1, w.penalty_ratio_bound(6.0))
         assert (rep.re_bound, rep.re_valid) == want
@@ -371,7 +372,7 @@ class TestAssumptionReport:
         pair = surrogate_convolution(inst, np.zeros(40))
         w = WeightVector.constant(40, 1.0)
         rep = assumption_report(
-            pair, [], deviation_at_truth(pair, np.zeros(40)), w, 4.0, theta_used=3.0
+            pair, [], pair.score(np.zeros(40)), w, 4.0, theta_used=3.0
         )
         assert rep.rip_lower is None
         assert rep.re_bound is None  # empty support: no sparsity to certify
@@ -391,7 +392,7 @@ class TestAssumptionReport:
         pair = surrogate_convolution(inst, np.zeros(40))
         w = WeightVector.constant(40, 1.0)
         rep = assumption_report(
-            pair, [], deviation_at_truth(pair, np.zeros(40)), w, 4.0, theta_used=3.0
+            pair, [], pair.score(np.zeros(40)), w, 4.0, theta_used=3.0
         )
         assert rep.to_kv()["support_pass"] == ""
         assert "support_pass =\n" in rep.to_text() or "support_pass =" in rep.to_text()

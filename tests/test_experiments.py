@@ -14,7 +14,7 @@ import pytest
 import wlasso.experiments
 from wlasso.diagnostics import weights_cover
 from wlasso.errors import SingularDesignError
-from wlasso.model import deviation_at_truth, trial_rng
+from wlasso.model import trial_rng
 from wlasso.sensing import draw, surrogate, weights
 from wlasso.solver import SolverConfig, detected_support, kkt_check, weighted_lasso
 from wlasso.experiments import (
@@ -311,8 +311,8 @@ class TestRunTrial:
     @pytest.mark.parametrize("gammas", [(2.1, 3.0, 4.0, 6.0, 8.0), (4.0,)])
     @pytest.mark.parametrize("kinds", [("constant", "nonconstant"),
                                        ("constant", "nonconstant", "oracle")])
-    def test_two_products_each_per_trial(self, monkeypatch, model, gammas, kinds):
-        # the intensity and aty, then the score at the truth; no solve reads the design
+    def test_one_product_each_per_trial(self, monkeypatch, model, gammas, kinds):
+        # the intensity and aty; the score at the truth and every solve read Gram rows
         over = dict(weight_kinds=kinds)
         if model == "bernoulli":
             over.update(model="bernoulli", p=40, n=300, m_grid=())
@@ -322,7 +322,7 @@ class TestRunTrial:
             calls = count_products(monkeypatch)
             out = run_trial(point, i, cells(point, *gammas))
             assert not out.failures and set(out.coverage) == set(kinds)
-            assert calls == {"apply": 2, "adjoint": 2}
+            assert calls == {"apply": 1, "adjoint": 1}
 
     def test_bernoulli_trial_holds_one_design(self):
         # the 0/1 draw is the trial's one n x p float array: its surrogate is
@@ -350,7 +350,7 @@ class TestRunTrial:
                 m=0, n=cfg.n, q=cfg.q,
             )
             pair = surrogate(inst, y)
-            deviation = deviation_at_truth(pair, x_star)
+            deviation = pair.score(x_star)
             want = {
                 kind: weights_cover(deviation, weights(kind, inst, y, deviation, c=0.0)).passed
                 for kind in kinds

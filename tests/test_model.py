@@ -17,7 +17,6 @@ from wlasso.model import (
     apply_adjoint,
     cyclic_convolve,
     cyclic_correlate,
-    deviation_at_truth,
     make_sparse_signal,
     sample_poisson,
     trial_rng,
@@ -364,7 +363,10 @@ class TestSurrogatePair:
         )
         x = rng.normal(size=7)
         want = mat.T @ (pair.y_tilde - mat @ x)
-        assert np.allclose(deviation_at_truth(pair, x), want, atol=1e-12)
+        assert np.allclose(pair.score(x), want, atol=1e-12)
+        for wrong in (x[:-1], np.append(x, 1.0)):
+            with pytest.raises(ValueError):
+                pair.score(wrong)
 
     def test_observations_are_a_read_only_copy(self):
         # the cached aty is A^T y_tilde, so y_tilde must not change under it

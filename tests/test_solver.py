@@ -22,7 +22,6 @@ from wlasso.solver import (
     WeightVector,
     detected_support,
     kkt_check,
-    objective,
     oracle_least_squares,
     soft_threshold,
     two_step,
@@ -118,13 +117,13 @@ class TestObjective:
             np.array([3.0, -1.0]),
         )
         w = WeightVector.constant(2, 1.0)
-        assert objective(pair, w, 4.0, np.array([1.0, 0.0])) == 9.0
+        assert residual_objective_and_gap(pair, w, 4.0, np.array([1.0, 0.0]))[0] == 9.0
 
     def test_zero_vector_is_data_term(self):
         pair = random_dense_pair(0)
         w = WeightVector.constant(12, 1.0)
         x0 = np.zeros(12)
-        assert objective(pair, w, 4.0, x0) == pytest.approx(
+        assert residual_objective_and_gap(pair, w, 4.0, x0)[0] == pytest.approx(
             float(pair.y_tilde @ pair.y_tilde)
         )
 
@@ -386,11 +385,11 @@ class TestInvariances:
         w = random_weights(21, 12)
         gamma = 2.6
         x = np.zeros(12)
-        prev = objective(pair, w, gamma, x)
+        prev = residual_objective_and_gap(pair, w, gamma, x)[0]
         for _ in range(30):
             res = weighted_lasso(pair, w, SolverConfig(gamma=gamma, max_iter=1), x0=x)
             x = res.x_hat
-            cur = objective(pair, w, gamma, x)
+            cur = residual_objective_and_gap(pair, w, gamma, x)[0]
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -601,7 +600,7 @@ class TestGramSpaceScore:
     def assert_matches_residual_route(pair, x):
         op = pair.a_tilde
         want = apply_adjoint(op, pair.y_tilde - apply(op, x))
-        got = wlasso.solver._gram_score(pair.aty, op.gram, x)
+        got = pair.score(x)
         assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.abs(pair.aty).max())
 
     @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
@@ -627,7 +626,7 @@ class TestGramSpaceScore:
 
     def test_score_at_zero_is_aty_bit_for_bit(self):
         pair, _ = model_instance("convolution", 50, 0)
-        h = wlasso.solver._gram_score(pair.aty, pair.a_tilde.gram, np.zeros(50))
+        h = pair.score(np.zeros(50))
         assert np.array_equal(h, apply_adjoint(pair.a_tilde, pair.y_tilde))
         assert h is not pair.aty
 
@@ -667,7 +666,7 @@ class TestGramSpaceScore:
                         primal, gap = residual_objective_and_gap(pair, w, gamma, res.x_hat)
                         assert abs(res.objective - primal) <= 1e-12 * primal
                         assert abs(res.gap - gap) <= 1e-10 * (1.0 + primal)
-                        score = wlasso.solver._gram_score(pair.aty, pair.a_tilde.gram, res.x_hat)
+                        score = pair.score(res.x_hat)
                         kkt = masked_kkt_from_score(score, res.x_hat, gamma * w.values / 2.0)
                         assert repr(res.kkt_residual) == repr(kkt)
 
