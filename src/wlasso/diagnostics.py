@@ -24,7 +24,7 @@ from .solver import WeightVector, check_gamma
 def gram_deviation(op: Circulant | Dense) -> float:
     """max |(A^T A - I)_{k,l}|; the one number behind the RE bound below."""
     if isinstance(op, Circulant):  # every Gram row is a roll of row 0
-        g = op.gram_generator()
+        g = op.gram[0]
         return max(float(abs(g[0] - 1.0)), float(np.abs(g[1:]).max(initial=0.0)))
     return float(np.abs(op.gram - np.eye(op.n_cols)).max())
 
@@ -69,6 +69,9 @@ def re_constant_from_xi(xi: float, s: int, c0: float) -> tuple[float, bool]:
 
 @dataclass
 class CoverReport:
+    """Whether every margin (weight minus |score at the truth|) is >= 0, the
+    smallest margin, and an index attaining it; margins can agree to rounding
+    on a circulant design, so which index is named can move with rounding."""
     passed: bool
     worst_index: int
     margin: float

@@ -1,16 +1,14 @@
 """Ground-truth signals, Poisson observations, and the linear operators they share.
 
-Two operator classes share one surface (apply, adjoint, gram): Dense stores
-a matrix M and is the operator (M - shift 11^T) / scale, applied as M x minus
-a rank-one correction and never formed, so the Bernoulli surrogate needs no
-copy of its 0/1 draw; Circulant stores only its generator column c, with
-entry (l, k) equal to c[(l - k) mod p], plus gram_generator.  Each owns its
-Gram matrix A^T A, computed once per operator: a zero-copy strided view for a
-circulant, a p x p matrix for a dense design;
-a dense design may say how to build its Gram from something cheaper than the
-product, and a shifted one must, as the Bernoulli surrogate does from the 0/1
-co-occurrence counts.  Only diagnostics.gram_deviation branches on the class,
-to read a circulant Gram from its generator without allocating p x p floats.
+Two operator classes share one surface (n_rows, n_cols, apply, adjoint,
+gram): Dense stores a matrix M and is the operator (M - shift 11^T) / scale,
+applied as M x minus a rank-one correction and never formed, so the
+Bernoulli surrogate needs no copy of its 0/1 draw; Circulant stores only its
+generator column c, with entry (l, k) equal to c[(l - k) mod p].  Each
+computes its Gram matrix A^T A once: a circulant as a zero-copy strided view
+of its row 0, a dense design as a p x p matrix, which a shifted or scaled one
+builds with gram_from.  Only diagnostics.gram_deviation branches on the
+class, to read a circulant Gram from its row 0 without allocating p x p floats.
 
 One size rule bounds every array a user's sizes make (p, the parents m, the
 n x p Bernoulli draw, a dense Gram): check_size refuses, naming the parameter,
@@ -22,8 +20,8 @@ gram[S] over the support S of x: every score, the solver's and the one at the
 truth x* that the weights must dominate, comes from Gram rows, the solver's
 residual norm from those two numbers and the score, and its least-squares
 refit on a support from the Gram block of that support.  So the design itself
-is applied only where a product is the definition: the exact Poisson
-intensity, aty, and solver.kkt_check's independent residual route.
+is applied only where a product is the definition: the Poisson intensity,
+aty, and solver.kkt_check's independent residual route.
 
 Every circulant product goes through cyclic_convolve (cyclic_correlate reverses
 one operand and calls it).  The DFT diagonalises a circulant matrix, so a dense
@@ -31,9 +29,9 @@ product is an O(p log p) real FFT.  When one operand has at most
 SUPPORT_SUM_MAX nonzeros, as the parent counts and an s-sparse signal usually
 do, the product is instead summed over that support in O(K p).  The support
 sum is sign-exact, the FFT is not: its round-off leaves entries that are
-exactly zero slightly negative.  So the Poisson intensity, apply(A, x*,
-exact=True), always takes the support sum, whatever the sizes, because
-sample_poisson rejects a negative intensity.
+exactly zero slightly negative.  So Circulant.apply takes the support sum
+whatever the sizes when both operands are nonnegative, as for every Poisson
+intensity A x*, which sample_poisson requires to be nonnegative.
 """
 from __future__ import annotations
 
@@ -231,20 +229,18 @@ class Circulant:
 
     n_cols = n_rows
 
-    def apply(self, x: np.ndarray, exact: bool = False) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        exact = self.generator.min() >= 0 and x.min() >= 0
         return cyclic_convolve(self.generator, x, exact)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return cyclic_correlate(self.generator, y)
 
-    def gram_generator(self) -> np.ndarray:
-        """Generator of A^T A, which is circulant too (cyclic autocorrelation)."""
-        return cyclic_correlate(self.generator, self.generator)
-
     @cached_property
     def gram(self) -> np.ndarray:
-        """A^T A as a read-only p x p view whose row k is roll(gram_generator(), k)."""
-        doubled = np.tile(self.gram_generator(), 2)  # roll(g, k) is doubled[p - k : 2p - k]
+        """A^T A, circulant too, as a read-only p x p view: row 0 is the generator's
+        cyclic autocorrelation g, and row k is roll(g, k) = doubled[p - k : 2p - k]."""
+        doubled = np.tile(cyclic_correlate(self.generator, self.generator), 2)
         step = doubled.strides[0]
         return np.lib.stride_tricks.as_strided(
             doubled[self.n_cols :], shape=(self.n_cols,) * 2, strides=(-step, step),
@@ -277,8 +273,7 @@ class Dense:
     def n_cols(self) -> int:
         return self.dense.shape[1]
 
-    def apply(self, x: np.ndarray, exact: bool = False) -> np.ndarray:
-        # an unshifted matrix product is sign-exact already
+    def apply(self, x: np.ndarray) -> np.ndarray:
         return self._shifted(self.dense @ x, x)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -308,12 +303,12 @@ class Dense:
         return gram
 
 
-def apply(op: Circulant | Dense, x: np.ndarray, exact: bool = False) -> np.ndarray:
-    """A x; exact asks for a sign-exact product, as a Poisson intensity needs."""
+def apply(op: Circulant | Dense, x: np.ndarray) -> np.ndarray:
+    """A x, sign-exact whenever A and x are both nonnegative."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n_cols,):
         raise ValueError("x has wrong length")
-    return op.apply(x, exact)
+    return op.apply(x)
 
 
 def apply_adjoint(op: Circulant | Dense, y: np.ndarray) -> np.ndarray:

@@ -46,14 +46,15 @@ def draw(
     model: str, p: int, s: int, target_l1: float, rng: np.random.Generator,
     *, m: int, n: int, q: float, noiseless: bool = False,
 ) -> Draw:
-    """Signal, design, then Poisson counts; only convolution reads m, only Bernoulli n, q."""
+    """Signal, design, then Poisson counts at the intensity A x*, which is exact
+    because both are nonnegative; only convolution reads m, only Bernoulli n, q."""
     signal = make_sparse_signal(p, s, target_l1, rng)
     x_star = signal.dense()
     if model == "convolution":
         inst = _convolution.sample_parents(p, m, rng)
     else:
         inst = _bernoulli.sample_bernoulli_matrix(n, p, q, rng)
-    intensity = apply(_module(inst).sensing_operator(inst), x_star, exact=True)
+    intensity = apply(_module(inst).sensing_operator(inst), x_star)
     y = intensity if noiseless else sample_poisson(intensity, rng).counts.astype(np.float64)
     return Draw(inst, y, x_star)
 

@@ -38,7 +38,7 @@ def ustat_check(inst: ConvolutionInstance) -> float:
       U(d != 0) = sum_u N(u) N(u+d) - m(m-1)/p
       U(0)      = sum_u N(u)^2 - m - m(m-1)/p
     """
-    g = surrogate(inst, np.zeros(inst.p)).a_tilde.gram_generator()
+    g = surrogate(inst, np.zeros(inst.p)).a_tilde.gram[0]
     lhs = inst.m * g
     lhs[0] -= inst.m
     counts = inst.counts.astype(np.float64)

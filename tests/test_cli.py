@@ -345,6 +345,20 @@ def test_one_size_rule():
             assert gone not in text, (path.name, gone)
 
 
+def test_only_cyclic_convolve_asks_for_an_exact_product():
+    # an operator's product is sign-exact whenever its operands are both
+    # nonnegative, which it reads off them; no caller asks for it
+    src = Path(wlasso.model.__file__).parent
+    takes_exact = {
+        (path.name, fn.name)
+        for path in sorted(src.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(fn.args) if isinstance(arg, ast.arg) and arg.arg == "exact"
+    }
+    assert takes_exact == {("model.py", "cyclic_convolve")}
+
+
 class TestProducts:
     """An instance command applies the design once, for the intensity, and its
     adjoint at most once, for aty: the score at the truth and every solve

@@ -443,18 +443,20 @@ class TestTuneGamma:
         got = tune_gamma(conv_point(cfg))
         assert got[("wlasso_two_step", "nonconstant")] == 4.0
 
-    def test_ties_break_small_on_noiseless_oracle(self):
-        # every gamma recovers exactly, so the first grid entry must win; at
-        # m = 16 every tuning trial finishes (at m = 8 each refit is singular)
-        cfg = conv_config(
-            estimators=("wlasso_two_step",),
-            weight_kinds=("oracle",),
-            noiseless=True,
-            gamma_grid=(2.5, 4.0),
-            m_grid=(16,),
-        )
-        got = tune_gamma(conv_point(cfg))
-        assert got[("wlasso_two_step", "oracle")] == 2.5
+    def test_ties_break_small_on_noiseless_oracle(self, monkeypatch):
+        # on noiseless data the oracle recovers exactly at every gamma, so each
+        # trial's nmse is one rounding-level value, here bit-equal across the
+        # grid: the tie must go to the first grid entry
+        nmse = (1.078e-27, 1.474e-28, 1.668e-28)
+
+        def fake_map(point, indices, cells):
+            return [TrialOutcome({c: nmse[j] for c in cells}, {}, {})
+                    for j, _ in enumerate(indices)]
+
+        monkeypatch.setattr(wlasso.experiments, "_map_trials", fake_map)
+        cfg = conv_config(tune_trials=len(nmse), estimators=("wlasso_two_step",),
+                          weight_kinds=("oracle",), noiseless=True, gamma_grid=(2.5, 3.0, 4.0))
+        assert tune_gamma(conv_point(cfg))[("wlasso_two_step", "oracle")] == 2.5
 
     def test_gammas_compared_on_trials_finished_at_every_gamma(self, monkeypatch):
         # at 4.0 the second trial fails; scored on the first alone, 2.1 wins,

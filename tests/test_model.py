@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import wlasso.model
 from wlasso.bernoulli import sample_bernoulli_matrix, surrogate_bernoulli
+from wlasso.convolution import sample_parents, sensing_operator
 from wlasso.model import (
     SUPPORT_SUM_MAX,
     Circulant,
@@ -231,6 +232,12 @@ class TestCirculantAlgebra:
         assert np.allclose(out, folded_convolve(a, b), atol=1e-9)
         assert np.all(out >= 0)
         assert np.array_equal(out == 0, folded_convolve(1.0 * (a > 0), 1.0 * (b > 0)) == 0)
+        # Circulant.apply asks for that sum exactly when both operands are nonnegative
+        assert np.array_equal(apply(Circulant(a), b), out)
+        assert rfft_calls == []
+        for neg_a, neg_b in ((-a, b), (a, -b)):
+            assert np.allclose(apply(Circulant(neg_a), neg_b), folded_convolve(neg_a, neg_b))
+        assert rfft_calls == [p] * 4
 
     def test_materialize_index_rule(self):
         c = trial_rng(2).normal(size=7)
@@ -248,12 +255,6 @@ class TestCirculantAlgebra:
         y = rng.normal(size=12)
         assert np.allclose(apply(op, x), mat @ x, atol=1e-12)
         assert np.allclose(apply_adjoint(op, y), mat.T @ y, atol=1e-12)
-
-    def test_gram_generator_is_gram_column(self):
-        c = trial_rng(4).normal(size=9)
-        op = Circulant(c)
-        mat = dense_matrix(op)
-        assert np.allclose(op.gram_generator(), (mat.T @ mat)[:, 0], atol=1e-12)
 
 
 class TestGram:
@@ -307,18 +308,27 @@ class TestShiftedDense:
             Dense(np.ones((3, 2)), shift=shift, scale=scale)
 
 
+def _intensity_by_draw(seed, s, m):
+    return draw("convolution", 5000, s, 100.0, trial_rng(seed), m=m, n=0, q=0.5, noiseless=True)
+
+
+def _intensity_by_recipe(seed, s, m):
+    # the README quick start: the sensing operator applied to the signal
+    rng = trial_rng(seed)
+    x_star = make_sparse_signal(5000, s, 100.0, rng).dense()
+    inst = sample_parents(5000, m, rng)
+    return inst, apply(sensing_operator(inst), x_star), x_star
+
+
 class TestForwardIntensity:
+    @pytest.mark.parametrize("route", [_intensity_by_draw, _intensity_by_recipe])
     @pytest.mark.parametrize("s, m", [(50, 40), (100, 100)])
-    def test_convolution_intensity_is_exact_at_scale(self, s, m):
+    def test_convolution_intensity_is_exact_at_scale(self, s, m, route):
         # FFT round-off alone makes this intensity negative in most draws; at
         # s = m = 100 both operands have more than SUPPORT_SUM_MAX nonzeros
         for seed in range(20):
-            noisy = draw("convolution", 5000, s, 100.0, trial_rng(seed), m=m, n=0, q=0.5)
-            assert np.all(noisy.y >= 0)
-            inst, intensity, x_star = draw(
-                "convolution", 5000, s, 100.0, trial_rng(seed), m=m, n=0, q=0.5,
-                noiseless=True,
-            )
+            inst, intensity, x_star = route(seed, s, m)
+            sample_poisson(intensity, trial_rng(seed))  # refuses a negative entry
             met = np.zeros(5000, dtype=bool)
             for k in np.flatnonzero(x_star):
                 met |= np.roll(inst.counts > 0, k)
