@@ -20,6 +20,7 @@ and the dump derive from it.  ExperimentRow is the schema of the CSV.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -188,12 +189,13 @@ def estimates(pair, x_star, built, cells) -> Iterator[tuple]:
     a cell is estimated only when it is asked for, so a caller that stops at
     an error does no further work.
 
-    The solves are chained: each starts from the x_hat of the last solve in
-    this call that converged, whatever its key, and from zero before there is
-    one; a result that did not converge, or a cell that raised, is not passed
-    on.  So a cell's x_hat, iterations, gap and kkt_residual may move at
-    rounding level with the cells before it, but its estimate, the refit of
-    the support it detects, does not.  The chain starts afresh in each call,
+    The solves are chained: each starts from the result of the last solve in
+    this call that converged, whatever its key, so from its x_hat and the
+    score that certified it, and from zero before there is one; a result that
+    did not converge, or a cell that raised, is not passed on.  So a cell's
+    x_hat, iterations, gap and kkt_residual may move at rounding level with
+    the cells before it, but its estimate, the refit of the support it
+    detects, does not.  The chain starts afresh in each call,
     so the estimates are a pure function of the call's arguments.
     """
     refits: dict = {}
@@ -206,7 +208,7 @@ def estimates(pair, x_star, built, cells) -> Iterator[tuple]:
                     raise built[kind]
                 result = weighted_lasso(pair, built[kind], _solver_config(gamma), x0)
                 if result.converged:
-                    x0 = result.x_hat
+                    x0 = result
             cols = np.flatnonzero(x_star) if result is None else detected_support(result.x_hat)
             if cols.tobytes() not in refits:
                 refits[cols.tobytes()] = oracle_least_squares(pair, cols)
@@ -276,8 +278,10 @@ def run_trial(point: TrialPoint, trial_index: int, cells: tuple[tuple, ...]) -> 
     return TrialOutcome(nmse=nmse, coverage=coverage, failures=failures)
 
 
+@functools.lru_cache(maxsize=None)
 def _solver_config(gamma: float) -> SolverConfig:
-    """SolverConfig at gamma, minus its gamma <= 2 warning (allow_small_gamma opens such grids)."""
+    """SolverConfig at gamma, minus its gamma <= 2 warning (allow_small_gamma opens such
+    grids); built once per gamma, as the warning filter costs more than a short solve."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return SolverConfig(gamma)

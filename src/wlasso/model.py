@@ -15,13 +15,15 @@ n x p Bernoulli draw, a dense Gram): check_size refuses, naming the parameter,
 any over BYTE_BUDGET bytes before it is allocated.
 
 A SurrogatePair holds its observations read-only and caches the score at zero,
-aty = A^T y, and yty = y^T y.  Its score(x) = A^T (y - A x) is aty - x[S] @
-gram[S] over the support S of x: every score, the solver's and the one at the
-truth x* that the weights must dominate, comes from Gram rows, the solver's
-residual norm from those two numbers and the score, and its least-squares
-refit on a support from the Gram block of that support.  So the design itself
-is applied only where a product is the definition: the Poisson intensity,
-aty, and solver.kkt_check's independent residual route.
+aty = A^T y, yty = y^T y and the Gram diagonal, checked positive once.  Its
+score(x) = A^T (y - A x) is aty - x[S] @ gram[S] over the support S of x
+(passed by a caller that holds it, else searched for): every score, the
+solver's and the one at the truth x* that the weights must dominate, comes
+from Gram rows, the solver's residual norm from those two numbers and the
+score, and its least-squares refit on a support from the Gram block of that
+support.  So the design itself is applied only where a product is the
+definition: the Poisson intensity, aty, and solver.kkt_check's independent
+residual route.
 
 Every circulant product goes through cyclic_convolve (cyclic_correlate reverses
 one operand and calls it).  The DFT diagonalises a circulant matrix, so a dense
@@ -47,7 +49,7 @@ import numpy as np
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .errors import ParameterError
+from .errors import DegenerateColumnError, ParameterError
 
 BYTE_BUDGET = 1 << 27  # 128 MiB, a float64 Gram at p = 4096
 
@@ -350,14 +352,27 @@ class SurrogatePair:
         """y_tilde . y_tilde: with aty and the Gram, a solve's residual norm needs no product."""
         return float(self.y_tilde @ self.y_tilde)
 
-    def score(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The Gram diagonal ||A_k||^2, checked positive once per pair: a zero
+        column has no coordinate update (DegenerateColumnError)."""
+        diagonal = self.a_tilde.gram.diagonal()
+        degenerate = np.flatnonzero(diagonal <= 0.0)
+        if degenerate.size:
+            raise DegenerateColumnError(int(degenerate[0]))
+        return diagonal
+
+    def score(self, x: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
         """A_tilde^T (y_tilde - A_tilde x) as aty - x[S] @ gram[S] over the support S
         of x; a copy of aty at x = 0.  At the truth x* it is the vector the weights
-        must dominate coordinatewise, the coverage assumption behind every guarantee."""
+        must dominate coordinatewise, the coverage assumption behind every guarantee.
+        A caller that already holds S, the increasing indices of the nonzeros of
+        x, passes it as support, and the score searches no p coordinates for it."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.a_tilde.n_cols,):
             raise ValueError("x has wrong length")
-        support = np.flatnonzero(x)
+        if support is None:
+            support = np.flatnonzero(x)
         if not support.size:
             return self.aty.copy()
         return self.aty - x[support] @ self.a_tilde.gram[support]

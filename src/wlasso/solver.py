@@ -12,6 +12,10 @@ and the Gram rows of the support S (SurrogatePair.score), and certifies all
 p coordinates in one vectorised KKT check before the loop stops.  The
 objective and the duality gap come from that score too, with the pair's
 cached yty = y^T y, so a solve applies neither the design nor its adjoint.
+Since x is zero off W, S is read off W once per iterate, and the score, the
+KKT residual and the gap all take it, so only the set's own rule and the
+certificate scan all p coordinates.  A solve hands its certified score on
+in its result, and a solve started from that result starts from its score.
 kkt_check takes the residual route through the design instead, as a check
 independent of the solver.  The least-squares refit reads only gram and aty.
 """
@@ -23,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateColumnError, ParameterError, SingularDesignError
+from .errors import ParameterError, SingularDesignError
 from .model import SurrogatePair, apply, apply_adjoint
 
 
@@ -32,9 +36,10 @@ def check_gamma(gamma: float) -> None:
         raise ParameterError("gamma", "must be positive and finite", gamma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """gamma > 2 is what the guarantees need; smaller values only warn."""
+    """gamma > 2 is what the guarantees need; smaller values only warn.  Frozen,
+    so one config can be shared by every solve at its gamma."""
 
     gamma: float
     tol_kkt: float = 1e-8
@@ -94,7 +99,9 @@ class WeightVector:
 class SolveResult:
     """iterations counts sweeps over the working set; working_set is its final
     size; gap is the duality gap at x_hat: objective minus the dual value at
-    the residual scaled into the dual-feasible set, both read off the score."""
+    the residual scaled into the dual-feasible set, both read off the score.
+    score is that drift-free score A^T (y - A x_hat), read-only, the one that
+    certified kkt_residual: bit-equal to pair.score(x_hat)."""
 
     x_hat: np.ndarray
     iterations: int
@@ -103,6 +110,7 @@ class SolveResult:
     converged: bool
     working_set: int
     gap: float
+    score: np.ndarray
 
 
 def soft_threshold(z: float, t: float) -> float:
@@ -113,8 +121,8 @@ def soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
-def _objective_and_gap(pair, weights, gamma, x, score, thresholds) -> tuple[float, float]:
-    """The objective and duality gap at x, from its score h = A^T r alone.
+def _objective_and_gap(pair, weights, gamma, x, support, score, thresholds) -> tuple[float, float]:
+    """The objective and duality gap at x, from its support S and score h = A^T r alone.
 
     On the support S, r.y = ||r||^2 + x.h gives ||r||^2 = yty - x_S.aty_S - x_S.h_S.
     The dual point is the residual scaled into the dual-feasible set, s r with
@@ -122,7 +130,6 @@ def _objective_and_gap(pair, weights, gamma, x, score, thresholds) -> tuple[floa
     So the gap is (1 - s)^2 ||r||^2 + pen - 2 s x_S.h_S, with no cancellation,
     and each term of pen - 2 s x_S.h_S is nonnegative, since s |h_k| <= t_k.
     """
-    support = np.flatnonzero(x)
     xs = x[support]
     xh = float(xs @ score[support])
     rr = max(0.0, pair.yty - float(xs @ pair.aty[support]) - xh)
@@ -131,14 +138,14 @@ def _objective_and_gap(pair, weights, gamma, x, score, thresholds) -> tuple[floa
     return rr + pen, (1.0 - scale) ** 2 * rr + pen - 2.0 * scale * xh
 
 
-def _kkt_from_score(score: np.ndarray, x: np.ndarray, thresholds: np.ndarray) -> float:
-    """Worst violation of the stationarity conditions, given the score A^T r.
+def _kkt_from_score(score, x, thresholds, support) -> float:
+    """Worst violation of the stationarity conditions, given the score A^T r
+    and the support of x.
 
     Nonzero coordinates must sit exactly on their threshold with the right
     sign; zero coordinates must stay inside it.
     """
     viol = np.abs(score) - thresholds
-    support = np.flatnonzero(x)
     viol[support] = np.abs(score[support] - np.sign(x[support]) * thresholds[support])
     return float(viol.max(initial=0.0))
 
@@ -149,14 +156,14 @@ def kkt_check(
     x = np.asarray(x, dtype=np.float64)
     # the residual route, independent of the solver's Gram-space score
     score = apply_adjoint(pair.a_tilde, pair.y_tilde - apply(pair.a_tilde, x))
-    return _kkt_from_score(score, x, gamma * weights.values / 2.0)
+    return _kkt_from_score(score, x, gamma * weights.values / 2.0, np.flatnonzero(x))
 
 
 def weighted_lasso(
     pair: SurrogatePair,
     weights: WeightVector,
     config: SolverConfig,
-    x0: Optional[np.ndarray] = None,
+    x0: Optional[np.ndarray | SolveResult] = None,
 ) -> SolveResult:
     """Minimize the weighted LASSO objective by cyclic coordinate descent.
 
@@ -166,24 +173,37 @@ def weighted_lasso(
     tol_kkt; max_iter caps the sweeps.  Coefficients may take either sign.
     The objective and the duality gap are read off that drift-free score and
     the pair's cached aty and yty, so the solve applies no design product.
+
+    x0 is zero by default.  An array x0 is checked to be a finite p-vector,
+    and its score is computed.  A SolveResult x0, of an earlier solve on the
+    same pair, starts from its x_hat and the score that certified it, so the
+    start costs no score; the solve gives the same bits as one started from
+    its x_hat.  Every certificate is a fresh score, so a result from another
+    pair can cost sweeps but never makes the answer wrong.
     """
     p = pair.a_tilde.n_cols
     if weights.values.size != p:
         raise ValueError("weights length must match operator columns")
-    if x0 is None:
-        x = np.zeros(p)
+    if isinstance(x0, SolveResult):
+        x, score = x0.x_hat.copy(), x0.score
+        if x.shape != (p,):
+            raise ValueError("x0 must be the result of a solve with p columns")
     else:
-        x = np.array(x0, dtype=np.float64)
-        if x.shape != (p,) or not np.all(np.isfinite(x)):
+        x = np.zeros(p) if x0 is None else np.array(x0, dtype=np.float64)
+        if x0 is not None and (x.shape != (p,) or not np.all(np.isfinite(x))):
             raise ValueError("x0 must be a finite vector of length p")
+        score = pair.score(x)
 
     thresholds = config.gamma * weights.values / 2.0
     tol_coord = 1e-9 * (1.0 + float(np.abs(pair.y_tilde).max(initial=0.0)))
 
-    iterations, converged, working_set, score, kkt = _descend(
-        pair, x, thresholds, tol_coord, config
+    iterations, converged, working_set, support, score, kkt = _descend(
+        pair, x, score, thresholds, tol_coord, config
     )
-    primal, gap = _objective_and_gap(pair, weights, config.gamma, x, score, thresholds)
+    primal, gap = _objective_and_gap(
+        pair, weights, config.gamma, x, support, score, thresholds
+    )
+    score.flags.writeable = False
     return SolveResult(
         x_hat=x,
         iterations=iterations,
@@ -192,27 +212,25 @@ def weighted_lasso(
         converged=converged,
         working_set=working_set,
         gap=gap,
+        score=score,
     )
 
 
-def _descend(pair, x, thresholds, tol_coord, config):
-    """CD sweeps over a working set, tracking the score h = A^T (y - A x).
+def _descend(pair, x, h, thresholds, tol_coord, config):
+    """CD sweeps over a working set from x and its score h = A^T (y - A x).
 
-    The set W is the support plus the coordinates whose fresh score breaks
-    their threshold.  Its coordinates, scores, Gram diagonal and thresholds
-    are gathered once per set, and the row gram[k, W] the first time k moves,
-    so an update costs O(|W|); off-W scores are never read within a set.
-    Once a sweep of it moves nothing, x[W] is written back and a drift-free
-    score checks all p coordinates; if any fails, the set is rebuilt from
-    that score.  Returns the sweeps, whether it converged, the set size, and
-    the drift-free score at the final x with its KKT residual.
+    The set W is the support plus the coordinates whose score breaks their
+    threshold.  Its coordinates, scores, Gram diagonal and thresholds are
+    gathered once per set, and the row gram[k, W] the first time k moves, so
+    an update costs O(|W|); off-W scores are never read within a set.  Once
+    a sweep of it moves nothing, x[W] is written back, the support is read
+    off W (x is zero off it), and a drift-free score on that support checks
+    all p coordinates; if any fails, the set is rebuilt from that score.
+    h is only read, never written.  Returns the sweeps, whether it
+    converged, the set size, and the support, drift-free score and KKT
+    residual at the final x.
     """
-    gram = pair.a_tilde.gram
-    diag = gram.diagonal()
-    degenerate = np.flatnonzero(diag <= 0.0)
-    if degenerate.size:
-        raise DegenerateColumnError(int(degenerate[0]))
-    h = pair.score(x)
+    gram, diag = pair.a_tilde.gram, pair.diagonal
     iterations = 0
     while True:
         work = _working_set(x, h, thresholds)
@@ -240,12 +258,14 @@ def _descend(pair, x, thresholds, tol_coord, config):
                         delta_max = delta
             iterations += 1
             settled = bool(delta_max < tol_coord)
+        xw = np.array(xw)
         x[work] = xw
+        support = work[xw != 0.0]
         # judge convergence on a drift-free score over all p, and keep it
-        h = pair.score(x)
-        kkt = _kkt_from_score(h, x, thresholds)
+        h = pair.score(x, support)
+        kkt = _kkt_from_score(h, x, thresholds, support)
         if not settled or kkt < config.tol_kkt:
-            return iterations, settled, work.size, h, kkt
+            return iterations, settled, work.size, support, h, kkt
 
 
 def _working_set(x, score, thresholds) -> np.ndarray:

@@ -128,12 +128,14 @@ def masked_kkt_from_score(score, x, thresholds) -> float:
 
 def full_row_lasso(pair, weights, config, x0=None) -> SolveResult:
     """weighted_lasso on the loop it ran before the working-set gather: every
-    update goes to all p scores through a full Gram row, and the KKT residual
-    is recomputed from the returned score."""
+    update goes to all p scores through a full Gram row, the starting score
+    is recomputed from x, and the support and KKT residual from the returned
+    x and score."""
 
-    def descend(pair, x, thresholds, tol_coord, config):
+    def descend(pair, x, score, thresholds, tol_coord, config):
         *swept, score = _full_row_descend(pair, x, thresholds, tol_coord, config)
-        return *swept, score, _kkt_from_score(score, x, thresholds)
+        support = np.flatnonzero(x)
+        return *swept, support, score, _kkt_from_score(score, x, thresholds, support)
 
     with patch.object(wlasso.solver, "_descend", descend):
         return weighted_lasso(pair, weights, config, x0)
@@ -167,7 +169,7 @@ def _full_row_descend(pair, x, thresholds, tol_coord, config):
         iterations += 1
         if delta_max < tol_coord:
             h = pair.score(x)
-            if _kkt_from_score(h, x, thresholds) < config.tol_kkt:
+            if _kkt_from_score(h, x, thresholds, np.flatnonzero(x)) < config.tol_kkt:
                 return iterations, True, len(work), h
             work = _full_row_working_set(x, h, thresholds)
     return iterations, False, len(work), pair.score(x)

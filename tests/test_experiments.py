@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import wlasso.experiments
+import wlasso.model
+import wlasso.solver
 from wlasso.diagnostics import weights_cover
 from wlasso.errors import SingularDesignError
 from wlasso.model import trial_rng
@@ -95,6 +97,12 @@ class TestConfig:
         # a solve setting lives on SolverConfig alone
         shared = {f.name for f in fields(ExperimentConfig)} & {f.name for f in fields(SolverConfig)}
         assert not shared
+
+    def test_one_solver_config_per_gamma(self):
+        solver_config = wlasso.experiments._solver_config
+        assert solver_config(4.0) is solver_config(4.0)
+        assert solver_config(3.0) is not solver_config(4.0)
+        assert solver_config(1.5).gamma == 1.5  # the gamma <= 2 warning stays silenced
 
     def test_m_rule_frozen(self):
         assert m_from_p(5000, 0.25) == 151
@@ -377,7 +385,7 @@ class TestRunTrial:
 
 
 class TestWarmChain:
-    """estimates starts each solve from the last converged x_hat of its call."""
+    """estimates starts each solve from the last converged result of its call."""
 
     @pytest.mark.parametrize("model, p, s, ms", [
         ("convolution", 1000, 5, (10, 40, 160, 320)),
@@ -404,7 +412,7 @@ class TestWarmChain:
 
     def test_nonconverged_result_is_never_passed_on(self, monkeypatch):
         # at 1e6 the constant weights converge at zero in one sweep; at 2.1 and
-        # 4.0 one sweep does not converge, so each later solve starts from the 1e6 x_hat
+        # 4.0 one sweep does not converge, so each later solve starts from the 1e6 result
         monkeypatch.setattr(wlasso.experiments, "_solver_config", one_sweep_config)
         solve = wlasso.experiments.weighted_lasso
         starts, results = [], []
@@ -419,7 +427,35 @@ class TestWarmChain:
         run_trial(point, 0, (("lasso_two_step", "constant", 1e6),) + cells(point, 2.1, 4.0))
         assert [r.converged for r in results] == [True, False, False, False, False]
         assert starts[0] is None
-        assert all(x0 is results[0].x_hat for x0 in starts[1:])
+        assert all(x0 is results[0] for x0 in starts[1:])
+
+    @pytest.mark.parametrize("point", [
+        conv_point(conv_config(p=1000, s=5, target_l1=100.0), m=40), bern_point(),
+    ])
+    def test_one_score_per_round(self, point, monkeypatch):
+        # the truth's score, the cold start's, then one per working set: a warm
+        # start reads its score off the result it starts from
+        score, build = wlasso.model.SurrogatePair.score, wlasso.solver._working_set
+        counts = {"score": 0, "rounds": 0}
+
+        def counted_score(pair, *args):
+            counts["score"] += 1
+            return score(pair, *args)
+
+        def counted_build(*args):
+            counts["rounds"] += 1
+            return build(*args)
+
+        monkeypatch.setattr(wlasso.model.SurrogatePair, "score", counted_score)
+        monkeypatch.setattr(wlasso.solver, "_working_set", counted_build)
+        chained = tuple(cell for g in (8.0, 6.0, 4.0, 3.0, 2.1) for cell in cells(point, g)
+                        if cell[0] != "ls_oracle")
+        for index in range(3):
+            counts.update(score=0, rounds=0)
+            outcome = run_trial(point, index, chained)
+            assert not outcome.failures and len(outcome.nmse) == len(chained)
+            assert counts["rounds"] >= len(chained)
+            assert counts["score"] == counts["rounds"] + 2
 
 
 class TestTuneGamma:

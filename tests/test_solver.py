@@ -1,5 +1,7 @@
 """Coordinate descent correctness: optimality, invariances, refitting."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,12 +287,15 @@ class TestFullRowIdentity:
     @staticmethod
     def assert_same_bits(pair, w, cfg, x0=None):
         got = weighted_lasso(pair, w, cfg, x0=x0)
-        want = full_row_lasso(pair, w, cfg, x0=x0)
+        TestFullRowIdentity.assert_same_result(got, full_row_lasso(pair, w, cfg, x0=x0))
+        return got
+
+    @staticmethod
+    def assert_same_result(got, want):
         assert got.x_hat.tobytes() == want.x_hat.tobytes()
         for field in ("iterations", "working_set", "converged", "kkt_residual", "gap", "objective"):
             assert type(getattr(got, field)) is type(getattr(want, field))
             assert repr(getattr(got, field)) == repr(getattr(want, field))
-        return got
 
     @staticmethod
     def warm_start(p):
@@ -319,6 +324,23 @@ class TestFullRowIdentity:
         assert rebuilds >= 1
         assert budget_stops >= 1
 
+    def test_result_start_matches_its_x_hat(self):
+        # a start from a result reads its score instead of recomputing it, and
+        # gives the bits of a start from its x_hat, on either loop
+        designs = [("convolution", 300, 15, 60), ("convolution", 1000, 5, 40),
+                   ("bernoulli", 200, 5, None)]
+        for model, p, s, m in designs:
+            pair, built = model_instance(model, p, 0, s=s, m=m)
+            for w in built.values():
+                for before, gamma in [(8.0, 4.0), (4.0, 2.1), (2.1, 8.0)]:
+                    for max_iter in (1, 10_000):
+                        prior = weighted_lasso(pair, w, SolverConfig(gamma=before, max_iter=max_iter))
+                        cfg = SolverConfig(gamma=gamma)
+                        got = weighted_lasso(pair, w, cfg, x0=prior)
+                        self.assert_same_result(got, weighted_lasso(pair, w, cfg, x0=prior.x_hat))
+                        self.assert_same_result(got, full_row_lasso(pair, w, cfg, x0=prior.x_hat))
+                        assert got.score.tobytes() == pair.score(got.x_hat).tobytes()
+
     @pytest.mark.filterwarnings("ignore:gamma = 0.2")
     def test_matches_full_rows_on_a_large_set(self, set_sizes):
         # gamma = 0.2 at p = 2000, s = 5, m = 40: the first set holds most of p
@@ -333,6 +355,66 @@ class TestFullRowIdentity:
                 rebuilds += len(set_sizes) > 1
         assert max(first_sets) >= 1000
         assert rebuilds >= 1
+
+
+class TestResultScore:
+    """A result carries the drift-free score that certified it."""
+
+    @pytest.mark.parametrize("model", ["convolution", "bernoulli"])
+    def test_score_is_the_score_at_x_hat(self, model):
+        pair, built = model_instance(model, 300, 1)
+        for w in built.values():
+            cold = weighted_lasso(pair, w, SolverConfig(gamma=4.0))
+            capped = weighted_lasso(pair, w, SolverConfig(gamma=2.1, max_iter=1))
+            from_array = weighted_lasso(pair, w, SolverConfig(gamma=2.1), x0=cold.x_hat)
+            from_result = weighted_lasso(pair, w, SolverConfig(gamma=2.1), x0=cold)
+            assert cold.converged and not capped.converged
+            for res in (cold, capped, from_array, from_result):
+                assert res.score.tobytes() == pair.score(res.x_hat).tobytes()
+                assert not res.score.flags.writeable
+                gamma = 4.0 if res is cold else 2.1
+                assert repr(res.kkt_residual) == repr(masked_kkt_from_score(
+                    res.score, res.x_hat, gamma * w.values / 2.0))
+
+    def test_result_start_leaves_the_result_alone(self):
+        pair, built = model_instance("convolution", 300, 2)
+        w = built["nonconstant"]
+        prior = weighted_lasso(pair, w, SolverConfig(gamma=8.0))
+        x_hat, score = prior.x_hat.copy(), prior.score.copy()
+        res = weighted_lasso(pair, w, SolverConfig(gamma=2.1), x0=prior)
+        assert res.x_hat is not prior.x_hat and res.score is not prior.score
+        assert np.array_equal(prior.x_hat, x_hat) and np.array_equal(prior.score, score)
+
+    def test_result_of_another_size_rejected(self):
+        small, _ = model_instance("convolution", 50, 0)
+        pair, built = model_instance("convolution", 300, 0)
+        w = built["constant"]
+        other = weighted_lasso(small, WeightVector.constant(50, 1.0), SolverConfig(gamma=4.0))
+        with pytest.raises(ValueError, match="x0"):
+            weighted_lasso(pair, w, SolverConfig(gamma=4.0), x0=other)
+
+    def test_result_of_another_pair_only_costs_sweeps(self):
+        # the handed-on score is wrong for this pair, but every certificate is fresh
+        pair, built = model_instance("convolution", 300, 0)
+        other, _ = model_instance("convolution", 300, 5)
+        w = built["nonconstant"]
+        cfg = SolverConfig(gamma=2.1)
+        want = weighted_lasso(pair, w, cfg)
+        got = weighted_lasso(pair, w, cfg, x0=weighted_lasso(other, w, cfg))
+        assert got.converged
+        assert kkt_check(pair, w, cfg.gamma, got.x_hat) <= cfg.tol_kkt
+        assert np.array_equal(detected_support(got.x_hat), detected_support(want.x_hat))
+
+    def test_gram_diagonal_checked_once_per_pair(self, monkeypatch):
+        pair, built = model_instance("bernoulli", 50, 0)
+        diagonal = pair.diagonal
+        assert pair.diagonal is diagonal and not diagonal.flags.writeable
+        calls = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(a.size) or flatnonzero(a))
+        weighted_lasso(pair, built["constant"], SolverConfig(gamma=4.0))
+        # the working set's rule and the cold start's score search p; nothing else does
+        assert len(calls) == 2
 
 
 class TestInvariances:
@@ -436,6 +518,14 @@ class TestConfigAndWeights:
             SolverConfig(gamma=0.0)
         with pytest.raises(ValueError):
             SolverConfig(gamma=float("nan"))
+
+    def test_config_is_frozen(self):
+        cfg = SolverConfig(gamma=4.0)
+        with pytest.raises(FrozenInstanceError):
+            cfg.gamma = 8.0
+        with pytest.raises(FrozenInstanceError):
+            cfg.max_iter = 1
+        assert cfg.gamma == 4.0 and cfg.max_iter == 10_000
 
     def test_tolerances_validated(self):
         with pytest.raises(ValueError):
