@@ -114,6 +114,8 @@ def _load_instance(path: str, q_flag: float) -> Draw:
             raise
         name = repr(key) if key == exc.name else f"{key!r} ({exc.name})"
         raise _UsageError(f"instance file: {name} {exc.why}, got {exc.value}") from exc
+    except ValueError as exc:
+        raise _UsageError(f"instance file: {exc}") from exc
 
 
 def _instance_from_args(args) -> Draw:
@@ -277,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument(
-        "--threads", type=int, default=0, help="0 = every core this process may use"
-    )
+        "--threads", type=int, default=0,
+        help="processes, at most one per grid point (0 = every usable core, 1 = in-process)")
     p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--dump-config", default=None)
     p_exp.set_defaults(func=_cmd_experiment)

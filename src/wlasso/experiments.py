@@ -8,11 +8,10 @@ Tuning runs each trial of a disjoint block of indices once over every tuned
 key's gamma grid, so evaluation trials never leak into the gamma choice; it
 lists each grid in descending gamma, so each is a warm-started path.
 Evaluation then runs each trial once with every key at its own tuned gamma.
-A pooled sweep is one task queue of contiguous blocks of trials: every
-point's tuning blocks at once, then each point's evaluation blocks as soon
-as its tuning returns (none at one thread or one usable core).
-Aggregation folds results in trial-index order, so thread counts and
-completion order cannot change a single output byte.
+`run_point` says that once; a sweep runs it once per point, in-process or as
+one pool task per point.  Aggregation folds results in trial-index order and
+rows in point order, so thread counts and completion order cannot change a
+single output byte.
 
 ExperimentConfig is the schema of a sweep: each setting's name, type, default
 and order live on it once, and config parsing, trial points, estimator keys
@@ -24,7 +23,7 @@ import functools
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, get_origin, get_type_hints
 
@@ -288,7 +287,7 @@ def _solver_config(gamma: float) -> SolverConfig:
 
 
 def _map_trials(point, indices, cells) -> list[TrialOutcome]:
-    """run_trial at each index over the same cells, in index order; one pool task."""
+    """run_trial at each index over the same cells, in index order."""
     return [run_trial(point, i, cells) for i in indices]
 
 
@@ -345,16 +344,12 @@ class ExperimentRow:
 CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
-def _evaluation(cfg: ExperimentConfig, gamma_star) -> tuple[range, tuple]:
-    """The evaluation indices, and each key's cell at its tuned gamma; an untuned
-    key's cell (gamma None) is not run, so every trial of it counts as failed."""
-    return range(cfg.trials), tuple(key + (g,) for key, g in gamma_star.items() if g is not None)
-
-
 def run_point(point: TrialPoint) -> list[ExperimentRow]:
-    """One point in-process: tune, then run every trial at the tuned gammas."""
+    """One point: tune, then run every trial with each key at its tuned gamma; an
+    untuned key's cell (gamma None) is not run, so every trial of it counts as failed."""
     gamma_star = tune_gamma(point)
-    return _rows(point, gamma_star, _map_trials(point, *_evaluation(point.cfg, gamma_star)))
+    cells = tuple(key + (g,) for key, g in gamma_star.items() if g is not None)
+    return _rows(point, gamma_star, _map_trials(point, range(point.cfg.trials), cells))
 
 
 def _rows(point: TrialPoint, gamma_star, outcomes) -> list[ExperimentRow]:
@@ -394,33 +389,26 @@ def _rows(point: TrialPoint, gamma_star, outcomes) -> list[ExperimentRow]:
 
 
 def _sweep(points, threads: int) -> list[ExperimentRow]:
-    """Rows of every point in order, from one task queue or in-process; 0 = every usable core."""
+    """Rows of every point in order, one `run_point` each; 0 threads = every usable core.
+
+    Pooled, each point is one task on at most one worker per point, the largest
+    (costliest) first, submitted only when a worker is free, as the pool cannot
+    cancel a task it has queued: after an error no point starts, and those running finish."""
     if threads < 0:
         raise ParameterError("threads", "must be >= 0 (0 = every usable core)", threads)
     usable = getattr(os, "sched_getaffinity", None)
-    workers = threads or (len(usable(0)) if usable else os.cpu_count() or 1)
-    if workers == 1:
+    workers = min(len(points), threads or (len(usable(0)) if usable else os.cpu_count() or 1))
+    if workers <= 1:
         return [row for point in points for row in run_point(point)]
+    rows, waiting, running = {}, list(points), {}
     with ProcessPoolExecutor(workers) as pool:
-        def queue(point, indices, cells):  # at most 2 * workers contiguous blocks
-            size = -(-len(indices) // (2 * workers))
-            return [pool.submit(_map_trials, point, indices[i:i + size], cells)
-                    for i in (range(0, len(indices), size) if cells else ())]
-
-        def outcomes(tasks):
-            return [outcome for task in tasks for outcome in task.result()]
-
-        try:
-            tuning = [queue(point, *_tuning(point.cfg)) for point in points]
-            evaluation = []
-            for point, tasks in zip(points, tuning):
-                gamma_star = _pick_gammas(point.cfg, outcomes(tasks))
-                evaluation.append((gamma_star, queue(point, *_evaluation(point.cfg, gamma_star))))
-            return [row for point, (gamma_star, tasks) in zip(points, evaluation)
-                    for row in _rows(point, gamma_star, outcomes(tasks))]
-        except BaseException:  # fail fast: cancel every queued block, then raise
-            pool.shutdown(cancel_futures=True)
-            raise
+        while waiting or running:
+            while waiting and len(running) < workers:
+                point = waiting.pop()
+                running[pool.submit(run_point, point)] = point
+            for task in wait(running, return_when=FIRST_COMPLETED).done:
+                rows[running.pop(task)] = task.result()
+    return [row for point in points for row in rows[point]]
 
 
 def run_mse_vs_m(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRow]:

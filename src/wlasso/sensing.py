@@ -62,7 +62,10 @@ def draw(
 def from_arrays(arrays: Mapping[str, np.ndarray], q: float) -> Draw:
     """The instance named arrays hold: counts (convolution) or a 0/1 design a at
     rate arrays["q"], else q (Bernoulli), then y and, optionally, x_star.  A missing
-    array is a KeyError; a refusal names the array, or p, m or n for its sizes."""
+    array is a KeyError, both designs a ValueError; a refusal names the array, or
+    p, m or n for its sizes."""
+    if "counts" in arrays and "a" in arrays:
+        raise ValueError("both 'counts' and 'a' are set; pick one design")
     if "counts" in arrays:
         inst = _convolution.ConvolutionInstance(arrays["counts"])
     elif "a" in arrays:

@@ -745,6 +745,14 @@ class TestExperiment:
         assert code == 1
         assert "pick one sweep" in err
 
+    def test_both_designs_is_usage_error(self, tmp_path, capsys):
+        # counts and y alone make a convolution instance; a and q must not be dropped
+        path = tmp_path / "both.npz"
+        write_bernoulli_npz(path, counts=np.ones(200), x_star=None)
+        code, out, err = run_cli(["weights", "--instance", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: instance file: both 'counts' and 'a' are set; pick one design\n"
+
     def test_negative_threads_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG)

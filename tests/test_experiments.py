@@ -4,9 +4,11 @@ import os
 import pickle
 import subprocess
 import sys
+from concurrent import futures
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -83,6 +85,34 @@ def counting_pool(monkeypatch):
 
     monkeypatch.setattr(wlasso.experiments, "ProcessPoolExecutor", CountingPool)
     return built
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """An in-process stand-in for the sweep's process pool.  It records the worker
+    count each pool is asked for and each task's (function, point m), and runs
+    tasks only when the sweep waits: one per wait, the running task at index
+    `pick` in submission order."""
+    record = SimpleNamespace(workers=[], submits=[], pick=0)
+
+    class RecordingPool(Executor):
+        def __init__(self, workers):
+            record.workers.append(workers)
+
+        def submit(self, fn, point):
+            record.submits.append((fn, point.m))
+            task = Future()
+            task.run = lambda: fn(point)
+            return task
+
+    def wait(tasks, return_when):
+        task = [t for t in tasks if not t.done()][record.pick]
+        task.set_result(task.run())
+        return futures.wait(tasks, return_when=return_when)
+
+    monkeypatch.setattr(wlasso.experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(wlasso.experiments, "wait", wait)
+    return record
 
 
 def cells(point, *gammas):
@@ -658,62 +688,43 @@ class TestSweeps:
 
     @pytest.mark.parametrize("over", [
         dict(model="bernoulli", p=40, n=300, q=0.5, m_grid=(), p_grid=(20, 30)),
-        dict(estimators=("ls_oracle",)),  # queues no tuning trial
+        dict(estimators=("ls_oracle",)),  # runs no tuning trial
     ], ids=["bernoulli_p_sweep", "ls_oracle_only"])
     def test_pooled_sweep_matches_in_process(self, over):
         cfg = conv_config(**over)
         sweep = run_mse_vs_p if cfg.p_grid else run_mse_vs_m
         assert rows_to_csv(sweep(cfg, threads=2)) == rows_to_csv(sweep(cfg, threads=1))
 
-    def test_pooled_sweep_queues_every_tuning_block_first(self, monkeypatch):
-        # every point's tuning blocks are queued before any outcome is read, and
-        # each phase of a point is at most 2 * workers contiguous blocks in index order
-        events = []
-
-        class Done(Future):
-            def result(self, timeout=None):
-                events.append(("result",))
-                return super().result(timeout)
-
-        class RecordingPool(Executor):
-            def __init__(self, workers):
-                assert workers == 2
-
-            def submit(self, fn, *args):
-                point, indices = args[:2]
-                events.append(("submit", point.m, [int(i) for i in np.atleast_1d(indices)]))
-                future = Done()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(wlasso.experiments, "ProcessPoolExecutor", RecordingPool)
+    @pytest.mark.parametrize("pick", [0, -1], ids=["oldest_first", "newest_first"])
+    def test_pooled_sweep_runs_each_point_once_largest_first(self, recording_pool, pick):
+        # one pool task per point, run_point itself, handed out in decreasing m; the
+        # rows fold back in point order whichever running point completes first
+        recording_pool.pick = pick
         cfg = conv_config(m_grid=(8, 12, 16), trials=7, tune_trials=5)
         serial = rows_to_csv(run_mse_vs_m(cfg, threads=1))
         assert rows_to_csv(run_mse_vs_m(cfg, threads=2)) == serial
-        tuning = [e for e in events if e[0] == "submit" and e[2][0] >= TUNE_INDEX_BASE]
-        evaluation = [e for e in events if e[0] == "submit" and e[2][0] < TUNE_INDEX_BASE]
-        assert events[:len(tuning)] == tuning
-        phases = (
-            (tuning, range(TUNE_INDEX_BASE, TUNE_INDEX_BASE + cfg.tune_trials)),
-            (evaluation, range(cfg.trials)),
-        )
-        for m in cfg.m_grid:
-            for phase, indices in phases:
-                blocks = [e[2] for e in phase if e[1] == m]
-                assert 1 < len(blocks) <= 2 * 2
-                assert sum(blocks, []) == list(indices)
+        assert recording_pool.workers == [2]
+        assert recording_pool.submits == [(run_point, 16), (run_point, 12), (run_point, 8)]
+
+    def test_pool_has_at_most_one_worker_per_point(self, recording_pool):
+        # a fork pool starts every worker it is asked for at its first submit
+        cfg = conv_config()  # two points
+        assert rows_to_csv(run_mse_vs_m(cfg, threads=64)) == rows_to_csv(run_mse_vs_m(cfg))
+        assert recording_pool.workers == [2]
+        run_mse_vs_m(conv_config(m_grid=(8,)), threads=2)
+        assert recording_pool.workers == [2]
 
     def test_pooled_sweep_fails_fast(self, monkeypatch, tmp_path):
-        # a trial that raises cancels every queued block: the sweep raises what
-        # it raises at one thread, and most queued trials never start (run to
-        # the end, the other five points' tuning would start 250 of the 300)
+        # the first point submitted, the largest m, raises at its first draw: no
+        # other point starts, the one running finishes (1 + 150 of the 900 draws),
+        # and the sweep raises what it raises at one thread
         log = tmp_path / "draws.txt"
 
         def failing_draw(*args, **kwargs):
             with open(log, "a") as f:  # forked workers inherit this patch
                 f.write("draw\n")
-            if kwargs["m"] == 8:
-                raise RuntimeError("no draw at m = 8")
+            if kwargs["m"] == 18:
+                raise RuntimeError("no draw at m = 18")
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(wlasso.experiments, "draw", failing_draw)
@@ -722,8 +733,9 @@ class TestSweeps:
             log.write_text("")
             with pytest.raises(RuntimeError) as info:
                 run_mse_vs_m(cfg, threads=threads)
-            assert (type(info.value), str(info.value)) == (RuntimeError, "no draw at m = 8")
-        assert len(log.read_text().splitlines()) < len(cfg.m_grid) * cfg.tune_trials / 2
+            assert (type(info.value), str(info.value)) == (RuntimeError, "no draw at m = 18")
+        total = len(cfg.m_grid) * (cfg.tune_trials + cfg.trials)
+        assert len(log.read_text().splitlines()) < total / 2
 
     def test_serial_sweep_nests_every_trial_in_its_point(self, monkeypatch):
         # a layer profile reads a point's own time as run_point's minus run_trial's
